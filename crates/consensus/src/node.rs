@@ -322,7 +322,7 @@ impl SailfishNode {
             now,
             self.cfg.me,
             Event::EvidenceRecorded {
-                kind: ev.kind(),
+                kind: ev.kind().into(),
                 round: ev.round(),
                 culprit: ev.culprit(),
             },

@@ -9,8 +9,8 @@
 //! (buffer growth, mempool collapse, WAL degradation) are online-only and
 //! the report says so.
 
-use crate::parse::Trace;
 use clanbft_monitor::{replay_events, AlertKind, MonitorConfig};
+use clanbft_telemetry::Trace;
 use clanbft_types::PartyId;
 use std::fmt::Write as _;
 
@@ -113,7 +113,6 @@ pub fn alert_report(trace: &Trace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse::parse_trace;
 
     /// A synthetic benign trace: four parties, lockstep commit cadence.
     fn benign_trace() -> String {
@@ -136,7 +135,7 @@ mod tests {
 
     #[test]
     fn benign_trace_is_alert_free() {
-        let trace = parse_trace(&benign_trace()).expect("parse");
+        let trace = Trace::parse(&benign_trace()).expect("parse");
         let report = alert_report(&trace);
         assert!(report.contains("no alerts"), "{report}");
         assert!(report.contains("verdict: healthy"), "{report}");
@@ -165,7 +164,7 @@ mod tests {
                 ));
             }
         }
-        let trace = parse_trace(&lines).expect("parse");
+        let trace = Trace::parse(&lines).expect("parse");
         let report = alert_report(&trace);
         let expected = concat!(
             "alert replay: 25 event(s), 4 parties\n",

@@ -26,9 +26,9 @@
 //!    not mint a fresh twin.
 
 use crate::incident::incidents;
-use crate::parse::Trace;
 use clanbft_telemetry::span::{SpanSet, Stage};
 use clanbft_telemetry::Event;
+use clanbft_telemetry::Trace;
 use clanbft_types::{Micros, PartyId, Round};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -275,7 +275,6 @@ pub fn check_report(trace: &Trace) -> (String, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse::parse_trace;
 
     fn commit(at: u64, party: u32, round: u64, source: u32, seq: u64) -> String {
         format!(
@@ -299,7 +298,7 @@ mod tests {
             commit(50, 1, 1, 0, 0),
             commit(55, 2, 1, 0, 0)
         );
-        let trace = parse_trace(&text).expect("parses");
+        let trace = Trace::parse(&text).expect("parses");
         assert_eq!(check(&trace), Vec::<String>::new());
         let (report, ok) = check_report(&trace);
         assert!(ok);
@@ -315,7 +314,7 @@ mod tests {
             commit(60, 1, 2, 0, 2), // gap: 0 -> 2
             commit(70, 2, 2, 0, 0)  // agreement: seq 0 is r1/p0 elsewhere
         );
-        let trace = parse_trace(&text).expect("parses");
+        let trace = Trace::parse(&text).expect("parses");
         let violations = check(&trace);
         assert!(violations
             .iter()
@@ -332,7 +331,7 @@ mod tests {
         let mut text = propose(10, 0, 1) + &propose(11, 3, 1);
         text.push_str(&commit(50, 1, 1, 0, 0));
         text.push_str(&commit(80, 1, 4, 0, 1));
-        let trace = parse_trace(&text).expect("parses");
+        let trace = Trace::parse(&text).expect("parses");
         let violations = check(&trace);
         assert!(
             violations
@@ -355,7 +354,7 @@ mod tests {
         );
         text.push_str(&commit(50, 1, 1, 0, 0));
         text.push_str(&commit(80, 1, 4, 0, 1));
-        let trace = parse_trace(&text).expect("parses");
+        let trace = Trace::parse(&text).expect("parses");
         assert_eq!(check(&trace), Vec::<String>::new());
     }
 
@@ -383,7 +382,7 @@ mod tests {
             recovery(90, 2, 2, 1), // p2 restarts; frontier = last seq + 1
             commit(95, 2, 2, 1, 1)
         );
-        let trace = parse_trace(&text).expect("parses");
+        let trace = Trace::parse(&text).expect("parses");
         assert_eq!(check(&trace), Vec::<String>::new());
     }
 
@@ -398,7 +397,7 @@ mod tests {
             commit(55, 2, 1, 0, 0),
             recovery(90, 2, 2, 0)
         );
-        let trace = parse_trace(&text).expect("parses");
+        let trace = Trace::parse(&text).expect("parses");
         let violations = check(&trace);
         assert!(
             violations.iter().any(|v| v.contains("would re-ack")),
@@ -417,7 +416,7 @@ mod tests {
             commit(55, 2, 1, 0, 0),
             recovery(90, 2, 2, 3)
         );
-        let trace = parse_trace(&text).expect("parses");
+        let trace = Trace::parse(&text).expect("parses");
         let violations = check(&trace);
         assert!(
             violations
@@ -439,7 +438,7 @@ mod tests {
             propose_d(95, 0, 1, "00000000000000bb"),
             commit(99, 0, 1, 0, 0)
         );
-        let trace = parse_trace(&text).expect("parses");
+        let trace = Trace::parse(&text).expect("parses");
         let violations = check(&trace);
         assert!(
             violations
@@ -457,7 +456,7 @@ mod tests {
         text.push_str(&propose_d(10, 0, 1, "00000000000000aa"));
         text.push_str(&propose_d(11, 0, 1, "00000000000000bb"));
         text.push_str(&commit(50, 1, 1, 1, 0));
-        let trace = parse_trace(&text).expect("parses");
+        let trace = Trace::parse(&text).expect("parses");
         let violations = check(&trace);
         assert!(
             !violations.iter().any(|v| v.contains("equivocated")),
@@ -476,7 +475,7 @@ mod tests {
              \"round\":1,\"culprit\":2}\n",
         );
         text.push_str(&commit(50, 1, 1, 0, 0));
-        let trace = parse_trace(&text).expect("parses");
+        let trace = Trace::parse(&text).expect("parses");
         let violations = check(&trace);
         assert!(violations
             .iter()

@@ -8,8 +8,8 @@
 //! that is the pull-retry count, since victims recover exactly through the
 //! retry/rotation machinery.
 
-use crate::parse::Trace;
 use clanbft_telemetry::span::SpanSet;
+use clanbft_telemetry::Trace;
 use std::fmt::Write as _;
 
 /// Median of a sample set (0 for an empty set).
@@ -144,7 +144,6 @@ pub fn diff(a: &Trace, b: &Trace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse::parse_trace;
 
     fn benign() -> Trace {
         let text = concat!(
@@ -155,7 +154,7 @@ mod tests {
             "{\"at\":500,\"party\":1,\"ev\":\"vertex_committed\",\"round\":1,\"source\":0,",
             "\"leader\":true,\"seq\":0}\n",
         );
-        parse_trace(text).expect("parses")
+        Trace::parse(text).expect("parses")
     }
 
     fn withheld() -> Trace {
@@ -170,7 +169,7 @@ mod tests {
             "{\"at\":520,\"party\":1,\"ev\":\"vertex_committed\",\"round\":1,\"source\":0,",
             "\"leader\":true,\"seq\":0}\n",
         );
-        parse_trace(text).expect("parses")
+        Trace::parse(text).expect("parses")
     }
 
     #[test]

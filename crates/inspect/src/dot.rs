@@ -6,8 +6,8 @@
 //! dashed, equivocated ones marked. Output is fully deterministic (sorted
 //! by round then party) so it can be pinned by golden-file tests.
 
-use crate::parse::Trace;
 use clanbft_telemetry::span::{SpanSet, Stage};
+use clanbft_telemetry::Trace;
 use std::fmt::Write as _;
 
 /// Inclusive round range selection; `None` bounds mean "from the first /
@@ -138,7 +138,6 @@ pub fn parse_round_range(arg: &str) -> Result<(Option<u64>, Option<u64>), String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse::parse_trace;
 
     #[test]
     fn round_range_selectors_parse() {
@@ -157,7 +156,7 @@ mod tests {
             "{\"at\":20,\"party\":1,\"ev\":\"vertex_proposed\",\"round\":2,\"txs\":1,",
             "\"digest\":\"0000000000000002\",\"strong\":[0],\"weak\":0}\n",
         );
-        let trace = parse_trace(text).expect("parses");
+        let trace = Trace::parse(text).expect("parses");
         let text = ascii(&trace, None, None);
         assert!(text.contains("round 1:\n  p0 [proposed] <- (genesis)"));
         assert!(text.contains("round 2:\n  p1 [proposed] <- p0"));
@@ -171,7 +170,7 @@ mod tests {
             "{\"at\":20,\"party\":1,\"ev\":\"vertex_proposed\",\"round\":2,\"txs\":1,",
             "\"digest\":\"0000000000000002\",\"strong\":[0],\"weak\":0}\n",
         );
-        let trace = parse_trace(text).expect("parses");
+        let trace = Trace::parse(text).expect("parses");
         let a = dot(&trace, None, None);
         let b = dot(&trace, None, None);
         assert_eq!(a, b);

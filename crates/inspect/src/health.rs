@@ -8,8 +8,8 @@
 //! the *slowest quorum member* (the party that most often certifies last,
 //! i.e. the straggler a quorum waits on).
 
-use crate::parse::Trace;
 use clanbft_telemetry::span::SpanSet;
+use clanbft_telemetry::Trace;
 use clanbft_types::{PartyId, Round};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -126,7 +126,6 @@ pub fn health_report(trace: &Trace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse::parse_trace;
 
     #[test]
     fn detects_missing_edges_and_stragglers() {
@@ -142,7 +141,7 @@ mod tests {
             "{\"at\":100,\"party\":0,\"ev\":\"vertex_proposed\",\"round\":2,\"txs\":1,",
             "\"digest\":\"0000000000000003\",\"strong\":[0],\"weak\":0}\n",
         );
-        let trace = parse_trace(text).expect("parses");
+        let trace = Trace::parse(text).expect("parses");
         let health = round_health(&trace);
         let r1 = &health[&Round(1)];
         assert_eq!(r1.proposed, 2);

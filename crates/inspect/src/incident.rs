@@ -8,8 +8,8 @@
 //! surfaces the indirect signal instead: pull retries charged to the
 //! attacker's own instances.
 
-use crate::parse::Trace;
 use clanbft_telemetry::span::SpanSet;
+use clanbft_telemetry::Trace;
 use clanbft_types::{PartyId, Round};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -128,7 +128,6 @@ pub fn incident_report(trace: &Trace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse::parse_trace;
 
     #[test]
     fn groups_evidence_and_matches_the_attack() {
@@ -144,7 +143,7 @@ mod tests {
             "\"digest\":\"000000000000000a\",\"strong\":[],\"weak\":0}\n",
             "{\"at\":90,\"party\":2,\"ev\":\"rbc\",\"phase\":\"pull_retry\",\"round\":1,\"source\":4}\n",
         );
-        let trace = parse_trace(text).expect("parses");
+        let trace = Trace::parse(text).expect("parses");
         let incs = incidents(&trace);
         assert_eq!(incs.len(), 1);
         assert_eq!(incs[0].kind, "equivocating_source");
@@ -166,7 +165,7 @@ mod tests {
             "{\"at\":10,\"party\":0,\"ev\":\"evidence\",\"kind\":\"double_vote\",",
             "\"round\":3,\"culprit\":5}\n",
         );
-        let trace = parse_trace(text).expect("parses");
+        let trace = Trace::parse(text).expect("parses");
         let report = incident_report(&trace);
         assert!(report.contains("matches-attack=NONE(unexplained)"));
     }

@@ -2,10 +2,9 @@
 //!
 //! The telemetry layer records *what happened*; this crate answers *why*.
 //! It consumes the merged multi-party trace a simulation exports (see
-//! `clanbft_sim::trace`) and turns it into verdicts:
+//! `clanbft_sim::trace`), decoded by the telemetry codec that also wrote
+//! it (`clanbft_telemetry::Trace::parse`), and turns it into verdicts:
 //!
-//! * [`parse`] — the hand-rolled NDJSON reader ([`parse_trace`]), tolerant
-//!   of unknown event labels, loud on corruption.
 //! * [`waterfall`] — per-block commit-latency waterfalls: which stage,
 //!   which party, how many δ ([`waterfall()`]).
 //! * [`health`] — per-round DAG health: missing strong edges, certificate
@@ -16,10 +15,10 @@
 //!   ([`dot()`], [`ascii()`]).
 //! * [`diff`] — two-run comparison with per-stage regression ratios and a
 //!   verdict naming the dominant one ([`diff()`]).
-//! * [`perf`] — performance-profile views over `clanbft_profiler` NDJSON:
-//!   hot-scope table, scope tree, allocation table, and a two-profile diff
-//!   with % deltas and a regression verdict ([`profile_report`],
-//!   [`profile_diff`]).
+//! * [`perf`] — performance-profile views over `clanbft_profiler` NDJSON,
+//!   decoded into `clanbft_profiler::ScopeStat` rows: hot-scope table,
+//!   scope tree, allocation table, and a two-profile diff with % deltas
+//!   and a regression verdict ([`profile_report`], [`profile_diff`]).
 //! * [`check`] — the CI gate: sequence contiguity, agreement, stage
 //!   ordering, span completeness, evidence attribution ([`check()`]).
 //! * [`alerts`] — offline replay of the online detector catalogue
@@ -35,7 +34,6 @@ pub mod diff;
 pub mod dot;
 pub mod health;
 pub mod incident;
-pub mod parse;
 pub mod perf;
 pub mod waterfall;
 
@@ -45,8 +43,5 @@ pub use diff::{diff, profile, RunProfile};
 pub use dot::{ascii, dot, parse_round_range};
 pub use health::{health_report, round_health, RoundHealth};
 pub use incident::{incident_report, incidents, Incident};
-pub use parse::{parse_trace, RunMeta, Trace};
-pub use perf::{
-    parse_profile, parse_profiles, profile_diff, profile_report, PerfProfile, PerfScope,
-};
+pub use perf::{parse_profile, parse_profiles, profile_diff, profile_report, PerfProfile};
 pub use waterfall::{estimate_delta, waterfall};

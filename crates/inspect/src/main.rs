@@ -19,8 +19,9 @@
 
 use clanbft_inspect::{
     alert_report, ascii, check_report, diff, dot, health_report, incident_report, parse_profile,
-    parse_round_range, parse_trace, profile_diff, profile_report, waterfall, PerfProfile, Trace,
+    parse_round_range, profile_diff, profile_report, waterfall, PerfProfile,
 };
+use clanbft_telemetry::Trace;
 use std::io::Read as _;
 use std::process::ExitCode;
 
@@ -31,19 +32,10 @@ const USAGE: &str =
                      [--threshold pct]\n       (a trace path of '-' reads stdin)";
 
 fn load(path: &str) -> Result<Trace, String> {
-    let text = if path == "-" {
-        let mut buf = String::new();
-        std::io::stdin()
-            .read_to_string(&mut buf)
-            .map_err(|e| format!("reading stdin: {e}"))?;
-        buf
-    } else {
-        std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?
-    };
-    let trace = parse_trace(&text).map_err(|e| format!("parsing {path}: {e}"))?;
+    let trace = Trace::parse(&read_input(path)?).map_err(|e| format!("parsing {path}: {e}"))?;
     if trace.skipped > 0 {
         eprintln!(
-            "clanbft-inspect: note: skipped {} event(s) with unknown labels in {path}",
+            "clanbft-inspect: note: skipped {} line(s) without a known event label in {path}",
             trace.skipped
         );
     }

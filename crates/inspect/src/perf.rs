@@ -10,31 +10,9 @@
 //! counts are deterministic for a fixed seed while total wall time moves
 //! with host load, so per-call cost is the stable regression signal.
 
-use crate::parse::{parse_line, Value};
+use clanbft_profiler::ScopeStat;
+use clanbft_telemetry::{parse_obj, Fields};
 use std::collections::BTreeMap;
-
-/// One scope row of a parsed profile.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PerfScope {
-    /// Semicolon-joined scope path (`sim.deliver;rbc.handle`).
-    pub path: String,
-    /// Leaf name.
-    pub name: String,
-    /// Nesting depth (0 = top-level).
-    pub depth: u64,
-    /// Completed entries.
-    pub calls: u64,
-    /// Wall nanoseconds, children included.
-    pub total_ns: u64,
-    /// Wall nanoseconds, children excluded.
-    pub self_ns: u64,
-    /// Allocations attributed to the path (children included).
-    pub allocs: u64,
-    /// Bytes requested by those allocations.
-    pub alloc_bytes: u64,
-    /// Peak live-byte growth above scope entry.
-    pub peak_bytes: u64,
-}
 
 /// One captured profile: a labelled set of scope rows in tree order.
 #[derive(Clone, Debug, Default)]
@@ -42,7 +20,7 @@ pub struct PerfProfile {
     /// The label the producer stamped (e.g. `fig5`, `perf_smoke/a`).
     pub label: String,
     /// Scope rows, parents before children.
-    pub scopes: Vec<PerfScope>,
+    pub scopes: Vec<ScopeStat>,
 }
 
 impl PerfProfile {
@@ -52,11 +30,20 @@ impl PerfProfile {
     }
 }
 
-fn field(map: &BTreeMap<String, Value>, key: &str) -> u64 {
-    match map.get(key) {
-        Some(Value::U64(v)) => *v,
-        _ => 0,
-    }
+/// Decodes one `{"prof":"scope",...}` line (inverse of
+/// `clanbft_profiler::Report::to_ndjson`); every field is required.
+fn decode_scope(f: &Fields) -> Result<ScopeStat, String> {
+    Ok(ScopeStat {
+        path: f.str("path")?.to_string(),
+        name: f.str("name")?.to_string(),
+        depth: f.u64("depth")? as usize,
+        calls: f.u64("calls")?,
+        total_ns: f.u64("total_ns")?,
+        self_ns: f.u64("self_ns")?,
+        alloc_count: f.u64("allocs")?,
+        alloc_bytes: f.u64("alloc_bytes")?,
+        peak_bytes: f.u64("peak_bytes")?,
+    })
 }
 
 /// Parses every profile in `text` (a file may hold several appended runs;
@@ -69,38 +56,15 @@ pub fn parse_profiles(text: &str) -> Result<Vec<PerfProfile>, String> {
         if line.is_empty() {
             continue;
         }
-        let map = parse_line(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        let kind = match map.get("prof") {
-            Some(Value::Str(s)) => s.as_str(),
-            _ => continue,
-        };
-        match kind {
-            "meta" => {
-                let label = match map.get("label") {
-                    Some(Value::Str(s)) => s.clone(),
-                    _ => String::new(),
-                };
-                profiles.push(PerfProfile {
-                    label,
-                    scopes: Vec::new(),
-                });
-            }
-            "scope" => {
-                let (path, name) = match (map.get("path"), map.get("name")) {
-                    (Some(Value::Str(p)), Some(Value::Str(n))) => (p.clone(), n.clone()),
-                    _ => return Err(format!("line {}: scope without path/name", i + 1)),
-                };
-                let scope = PerfScope {
-                    path,
-                    name,
-                    depth: field(&map, "depth"),
-                    calls: field(&map, "calls"),
-                    total_ns: field(&map, "total_ns"),
-                    self_ns: field(&map, "self_ns"),
-                    allocs: field(&map, "allocs"),
-                    alloc_bytes: field(&map, "alloc_bytes"),
-                    peak_bytes: field(&map, "peak_bytes"),
-                };
+        let at_line = |e: String| format!("line {}: {e}", i + 1);
+        let f = parse_obj(line).map_err(at_line)?;
+        match f.str("prof") {
+            Ok("meta") => profiles.push(PerfProfile {
+                label: f.str("label").map_err(at_line)?.to_string(),
+                scopes: Vec::new(),
+            }),
+            Ok("scope") => {
+                let scope = decode_scope(&f).map_err(at_line)?;
                 match profiles.last_mut() {
                     Some(p) => p.scopes.push(scope),
                     None => {
@@ -161,7 +125,7 @@ pub fn profile_report(p: &PerfProfile) -> String {
         "{:<44} {:>10} {:>12} {:>6} {:>14}\n",
         "path", "calls", "self_ms", "self%", "ns/call"
     ));
-    let mut hot: Vec<&PerfScope> = p.scopes.iter().collect();
+    let mut hot: Vec<&ScopeStat> = p.scopes.iter().collect();
     hot.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then(a.path.cmp(&b.path)));
     for s in hot.iter().take(20) {
         let per_call = s.self_ns.checked_div(s.calls).unwrap_or(0);
@@ -182,7 +146,7 @@ pub fn profile_report(p: &PerfProfile) -> String {
         "scope", "calls", "total_ms", "self_ms"
     ));
     for s in &p.scopes {
-        let indent = "  ".repeat(s.depth as usize);
+        let indent = "  ".repeat(s.depth);
         out.push_str(&format!(
             "{:<44} {:>10} {:>12} {:>12}\n",
             format!("{indent}{}", s.name),
@@ -193,7 +157,7 @@ pub fn profile_report(p: &PerfProfile) -> String {
     }
 
     // Allocation table: paths that allocated, ranked by bytes.
-    let mut alloc: Vec<&PerfScope> = p.scopes.iter().filter(|s| s.allocs > 0).collect();
+    let mut alloc: Vec<&ScopeStat> = p.scopes.iter().filter(|s| s.alloc_count > 0).collect();
     alloc.sort_by(|a, b| b.alloc_bytes.cmp(&a.alloc_bytes).then(a.path.cmp(&b.path)));
     if alloc.is_empty() {
         out.push_str(
@@ -210,7 +174,7 @@ pub fn profile_report(p: &PerfProfile) -> String {
             out.push_str(&format!(
                 "{:<44} {:>12} {:>12} {:>12} {:>12}\n",
                 s.path,
-                s.allocs,
+                s.alloc_count,
                 fmt_kb(s.alloc_bytes),
                 fmt_kb(s.peak_bytes),
                 per_call
@@ -235,7 +199,7 @@ struct DiffRow {
 /// The verdict line is the machine-readable hook: CI greps for
 /// `verdict: REGRESSION` after a profile-smoke run.
 pub fn profile_diff(base: &PerfProfile, cand: &PerfProfile, threshold_pct: f64) -> String {
-    let base_by_path: BTreeMap<&str, &PerfScope> =
+    let base_by_path: BTreeMap<&str, &ScopeStat> =
         base.scopes.iter().map(|s| (s.path.as_str(), s)).collect();
     let mut rows: Vec<DiffRow> = Vec::new();
     let mut only_cand: Vec<&str> = Vec::new();
@@ -430,14 +394,14 @@ mod tests {
         let base = parse_profile(&sample("base", 4000)).unwrap();
         let mut cand = parse_profile(&sample("cand", 4000)).unwrap();
         cand.scopes.remove(2);
-        cand.scopes.push(PerfScope {
+        cand.scopes.push(ScopeStat {
             path: "mempool.admit".to_string(),
             name: "mempool.admit".to_string(),
             depth: 0,
             calls: 5,
             total_ns: 1000,
             self_ns: 1000,
-            allocs: 0,
+            alloc_count: 0,
             alloc_bytes: 0,
             peak_bytes: 0,
         });

@@ -7,8 +7,8 @@
 //! propose→first-remote-echo interval (one message delay on the fastest
 //! observed edge of each instance).
 
-use crate::parse::Trace;
 use clanbft_telemetry::span::{SpanSet, Stage};
+use clanbft_telemetry::Trace;
 use std::fmt::Write as _;
 
 /// Estimates the one-way message delay δ (µs) as the median over spans of
@@ -154,7 +154,6 @@ pub fn waterfall(trace: &Trace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse::parse_trace;
 
     fn sample_trace() -> Trace {
         let text = concat!(
@@ -170,7 +169,7 @@ mod tests {
             "{\"at\":520,\"party\":2,\"ev\":\"vertex_committed\",\"round\":1,\"source\":0,",
             "\"leader\":true,\"seq\":0}\n",
         );
-        parse_trace(text).expect("parses")
+        Trace::parse(text).expect("parses")
     }
 
     #[test]
@@ -198,7 +197,7 @@ mod tests {
             "{\"at\":500,\"party\":0,\"ev\":\"vertex_committed\",\"round\":2,\"source\":1,",
             "\"leader\":true,\"seq\":0}\n",
         );
-        let trace = parse_trace(text).expect("parses");
+        let trace = Trace::parse(text).expect("parses");
         let report = waterfall(&trace);
         assert!(report.contains("block r2/p3"));
         assert!(report.contains("INCOMPLETE"));

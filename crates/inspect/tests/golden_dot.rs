@@ -2,7 +2,8 @@
 //! byte for byte. Any change to the renderer must update
 //! `tests/golden/dag_4p_3r.dot` deliberately.
 
-use clanbft_inspect::{dot, parse_trace};
+use clanbft_inspect::dot;
+use clanbft_telemetry::Trace;
 use std::fmt::Write as _;
 
 /// Builds the merged trace of a benign 4-party, 3-round run: every party
@@ -58,7 +59,7 @@ fn four_party_three_rounds() -> String {
 
 #[test]
 fn dot_matches_golden_file() {
-    let trace = parse_trace(&four_party_three_rounds()).expect("trace parses");
+    let trace = Trace::parse(&four_party_three_rounds()).expect("trace parses");
     let rendered = dot(&trace, None, None);
     if std::env::var_os("BLESS").is_some() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/dag_4p_3r.dot");

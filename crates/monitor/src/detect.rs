@@ -852,7 +852,7 @@ mod tests {
             at: Micros::from_millis(500),
             party: PartyId(0),
             event: Event::EvidenceRecorded {
-                kind: "equivocating_source",
+                kind: "equivocating_source".into(),
                 round: Round(2),
                 culprit: PartyId(1),
             },
@@ -923,7 +923,7 @@ mod tests {
                 at: Micros::from_millis(burst * 1_000),
                 party: PartyId(0),
                 event: Event::EvidenceRecorded {
-                    kind: "double_vote",
+                    kind: "double_vote".into(),
                     round: Round(burst),
                     culprit: PartyId(0),
                 },

@@ -244,7 +244,7 @@ mod tests {
             Micros::from_millis(100),
             PartyId(0),
             Event::EvidenceRecorded {
-                kind: "double_vote",
+                kind: "double_vote".into(),
                 round: Round(1),
                 culprit: PartyId(3),
             },

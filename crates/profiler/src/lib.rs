@@ -19,9 +19,9 @@
 //!   cells the scope guards snapshot. Binaries opt in; libraries never
 //!   install it.
 //! * [`Report`] — the drained tree: per-path calls, total/self
-//!   nanoseconds, allocation counters; exported as an aligned table, as
-//!   flamegraph collapsed-stack lines (`a;b;c 1234`), or as NDJSON for
-//!   `clanbft-inspect profile`.
+//!   nanoseconds, allocation counters; exported as flamegraph
+//!   collapsed-stack lines (`a;b;c 1234`) or as NDJSON for
+//!   `clanbft-inspect profile`, which renders the tables.
 //!
 //! Cost discipline: a scope on a *disabled* profiler is one relaxed atomic
 //! load and a `None` guard — no clock read, no thread-local access — so the

@@ -87,28 +87,6 @@ impl Report {
             .map(|s| (s.path.clone(), s.calls))
             .collect()
     }
-
-    /// Human-readable indented tree with per-scope timing and allocation
-    /// columns (for examples and quick prints; `clanbft-inspect profile`
-    /// has the richer renderer).
-    pub fn to_table(&self) -> String {
-        let mut out = String::from(
-            "scope                                      calls     total_ms      self_ms       allocs    alloc_kb\n",
-        );
-        for s in &self.scopes {
-            let indent = "  ".repeat(s.depth);
-            out.push_str(&format!(
-                "{:<40} {:>9} {:>12.3} {:>12.3} {:>12} {:>11.1}\n",
-                format!("{indent}{}", s.name),
-                s.calls,
-                s.total_ns as f64 / 1e6,
-                s.self_ns as f64 / 1e6,
-                s.alloc_count,
-                s.alloc_bytes as f64 / 1024.0,
-            ));
-        }
-        out
-    }
 }
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars) for

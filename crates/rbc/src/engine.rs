@@ -534,7 +534,7 @@ impl<P: TribePayload> Core<P> {
             fx.stamp(),
             self.cfg.me,
             Event::EvidenceRecorded {
-                kind: ev.kind(),
+                kind: ev.kind().into(),
                 round: ev.round(),
                 culprit: ev.culprit(),
             },

@@ -3,37 +3,27 @@
 //! A simulated tribe already shares one [`MemRecorder`] across every node
 //! and the network, and the simulator's discrete-event clock is the global
 //! time base, so the recorder's event log *is* the merged multi-party
-//! trace. This module prepends the run metadata line the `clanbft-inspect`
-//! toolchain needs to judge the events — tribe size (for quorums and the
-//! `Echoed(k/n)` stage), seed, and the attack labels active in the run —
-//! and writes the whole thing to a file.
-//!
-//! The meta line is itself NDJSON: `{"meta":"run","n":8,"seed":42,...}`.
-//! Parsers that don't care (or older ones) can skip any line carrying a
-//! `meta` key.
+//! trace. This module prepends the run's [`RunMeta`] line (the format and
+//! its decoder live in `clanbft_telemetry::trace`) and writes the whole
+//! thing to a file.
 
 use crate::tribe::TribeSpec;
-use clanbft_telemetry::{JsonObj, MemRecorder};
+use clanbft_telemetry::{MemRecorder, RunMeta};
 
 /// Renders the run-metadata line for `spec` (no trailing newline).
 pub fn meta_line(spec: &TribeSpec) -> String {
-    let mut obj = JsonObj::new()
-        .str("meta", "run")
-        .u64("n", spec.n as u64)
-        .u64("seed", spec.seed)
-        .u64("clans", spec.clans.as_ref().map_or(0, Vec::len) as u64);
-    if let Some(max) = spec.max_round {
-        obj = obj.u64("max_round", max);
+    RunMeta {
+        n: Some(spec.n as u64),
+        seed: Some(spec.seed),
+        clans: spec.clans.as_ref().map_or(0, Vec::len) as u64,
+        max_round: spec.max_round,
+        attacks: spec
+            .byzantine
+            .iter()
+            .map(|(p, a)| (p.0, a.name().to_string()))
+            .collect(),
     }
-    let attacks: Vec<String> = spec
-        .byzantine
-        .iter()
-        .map(|(p, a)| format!("{}:{}", p.0, a.name()))
-        .collect();
-    if !attacks.is_empty() {
-        obj = obj.str("attacks", &attacks.join(","));
-    }
-    obj.finish()
+    .to_ndjson()
 }
 
 /// The full merged trace: meta line first, then every recorded event in

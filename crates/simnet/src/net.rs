@@ -508,7 +508,7 @@ impl<M: Message, P: Protocol<M>> Simulator<M, P> {
             Event::MsgDropped {
                 src,
                 dst,
-                kind: msg.kind(),
+                kind: msg.kind().into(),
                 bytes,
             },
         );

@@ -6,9 +6,14 @@
 //! commits), the tribe-assisted RBC phases, and the simulated network
 //! (drops, partition holds). Event streams are deterministic: same seed,
 //! byte-identical NDJSON.
+//!
+//! Both directions of the line format live here: [`Stamped::to_ndjson`]
+//! writes an event, [`Stamped::decode`] reads it back, and every label and
+//! field name appears once per direction.
 
-use crate::ndjson::JsonObj;
+use crate::ndjson::{Fields, JsonObj, Value};
 use clanbft_types::{Micros, PartyId, Round};
+use std::borrow::Cow;
 
 /// Which phase of a broadcast instance an [`Event::Rbc`] marks.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -46,10 +51,25 @@ impl RbcPhase {
             RbcPhase::PullRetry => "pull_retry",
         }
     }
+
+    /// The phase `label` names, if any (inverse of [`RbcPhase::label`]).
+    pub fn from_label(label: &str) -> Option<RbcPhase> {
+        Some(match label {
+            "val_sent" => RbcPhase::ValSent,
+            "echoed" => RbcPhase::Echoed,
+            "echo_quorum" => RbcPhase::EchoQuorum,
+            "certified" => RbcPhase::Certified,
+            "deliver_full" => RbcPhase::DeliverFull,
+            "deliver_meta" => RbcPhase::DeliverMeta,
+            "pull_started" => RbcPhase::PullStarted,
+            "pull_retry" => RbcPhase::PullRetry,
+            _ => return None,
+        })
+    }
 }
 
 /// One protocol event (the un-stamped body).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Event {
     /// The party advanced into `round`.
     RoundEntered {
@@ -121,8 +141,8 @@ pub enum Event {
         src: PartyId,
         /// Intended receiver.
         dst: PartyId,
-        /// Message kind label.
-        kind: &'static str,
+        /// Message kind label (borrowed at emission, owned once decoded).
+        kind: Cow<'static, str>,
         /// Wire bytes lost.
         bytes: u64,
     },
@@ -139,8 +159,9 @@ pub enum Event {
     /// `clanbft_types::Evidence` — carried here by its stable label to keep
     /// the event log digest-free).
     EvidenceRecorded {
-        /// `Evidence::kind()` label.
-        kind: &'static str,
+        /// `Evidence::kind()` label (borrowed at emission, owned once
+        /// decoded).
+        kind: Cow<'static, str>,
         /// Round the conflict occurred in.
         round: Round,
         /// The party the evidence points at.
@@ -228,7 +249,7 @@ impl Event {
 }
 
 /// An event stamped with simulated time and the observing party.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Stamped {
     /// Simulated time of emission.
     pub at: Micros,
@@ -341,6 +362,116 @@ impl Stamped {
             Event::SlotCommitted { slot, txs } => base.u64("slot", *slot).u64("txs", *txs),
         }
         .finish()
+    }
+
+    /// Decodes one line read by [`parse_obj`](crate::ndjson::parse_obj):
+    /// the inverse of [`Stamped::to_ndjson`].
+    ///
+    /// `Ok(None)` if the line has no `ev` label this build knows (a newer
+    /// writer's event, or a non-event line). A known label with a missing
+    /// or wrongly typed field is an error naming the field: every field
+    /// the writer emits is required.
+    pub fn decode(f: &Fields) -> Result<Option<Stamped>, String> {
+        let Some(Value::Str(label)) = f.get("ev") else {
+            return Ok(None);
+        };
+        let party = |key: &str| {
+            let v = f.u64(key)?;
+            u32::try_from(v)
+                .map(PartyId)
+                .map_err(|_| format!("field {key:?}: {v} is not a party id"))
+        };
+        let round = |key: &str| f.u64(key).map(Round);
+        let event = match label.as_str() {
+            "round_entered" => Event::RoundEntered {
+                round: round("round")?,
+            },
+            "vertex_proposed" => Event::VertexProposed {
+                round: round("round")?,
+                tx_count: f.u64("txs")?,
+                digest: u64::from_str_radix(f.str("digest")?, 16)
+                    .map_err(|e| format!("field \"digest\": {e}"))?,
+                strong: f
+                    .arr_u64("strong")?
+                    .iter()
+                    .map(|&v| u32::try_from(v).map(PartyId))
+                    .collect::<Result<_, _>>()
+                    .map_err(|e| format!("field \"strong\": {e}"))?,
+                weak: f.u64("weak")?,
+            },
+            "rbc" => Event::Rbc {
+                phase: RbcPhase::from_label(f.str("phase")?)
+                    .ok_or("field \"phase\": not an RBC phase label")?,
+                round: round("round")?,
+                source: party("source")?,
+            },
+            "leader_vote" => Event::LeaderVote {
+                round: round("round")?,
+                leader: party("leader")?,
+            },
+            "timeout_announced" => Event::TimeoutAnnounced {
+                round: round("round")?,
+            },
+            "timeout_cert_formed" => Event::TimeoutCertFormed {
+                round: round("round")?,
+            },
+            "no_vote_cert_formed" => Event::NoVoteCertFormed {
+                round: round("round")?,
+            },
+            "vertex_committed" => Event::VertexCommitted {
+                round: round("round")?,
+                source: party("source")?,
+                leader: f.bool("leader")?,
+                sequence: f.u64("seq")?,
+            },
+            "msg_dropped" => Event::MsgDropped {
+                src: party("src")?,
+                dst: party("dst")?,
+                kind: Cow::Owned(f.str("kind")?.to_string()),
+                bytes: f.u64("bytes")?,
+            },
+            "partition_held" => Event::PartitionHeld {
+                src: party("src")?,
+                dst: party("dst")?,
+                until: Micros(f.u64("until")?),
+            },
+            "evidence" => Event::EvidenceRecorded {
+                kind: Cow::Owned(f.str("kind")?.to_string()),
+                round: round("round")?,
+                culprit: party("culprit")?,
+            },
+            "dag_buffered" => Event::DagBuffered {
+                round: round("round")?,
+                source: party("source")?,
+            },
+            "dag_live" => Event::DagLive {
+                round: round("round")?,
+                source: party("source")?,
+                pending: f.u64("pending")?,
+            },
+            "recovery_completed" => Event::RecoveryCompleted {
+                round: round("round")?,
+                wal_records: f.u64("wal_records")?,
+                commit_seq: f.u64("commit_seq")?,
+                duration_us: f.u64("duration_us")?,
+            },
+            "epoch_rotated" => Event::EpochRotated {
+                epoch: f.u64("epoch")?,
+                from_round: round("from_round")?,
+                replaced: f.u64("replaced")?,
+            },
+            "poa_formed" => Event::PoaFormed { seq: f.u64("seq")? },
+            "slot_committed" => Event::SlotCommitted {
+                slot: f.u64("slot")?,
+                txs: f.u64("txs")?,
+            },
+            _ => return Ok(None),
+        };
+        Ok(Some(Stamped {
+            at: Micros(f.u64("at")?),
+            party: party("party")?,
+            event,
+        }))
     }
 }
 

@@ -14,15 +14,19 @@
 //! * [`counters`] — canonical names for the rejection/hardening counters
 //!   (`rejected.*`, `pull.retries`) shared by rbc, consensus and tests.
 //! * [`event`] — the typed protocol event log: every event is stamped with
-//!   sim-time [`Micros`] and the observing [`PartyId`].
+//!   sim-time [`Micros`] and the observing [`PartyId`]. It owns both halves
+//!   of the line format: [`Stamped::to_ndjson`] and [`Stamped::decode`].
 //! * [`hist`] — power-of-two log-bucketed [`Histogram`] with p50/p90/p99
 //!   and max readout.
-//! * [`ndjson`] — a hand-rolled JSON writer (matching the `codec.rs`
-//!   philosophy: deterministic, dependency-free) so runs emit
-//!   machine-readable traces, one event per line.
+//! * [`ndjson`] — a hand-rolled flat-JSON writer ([`JsonObj`]) and the
+//!   reader that accepts exactly what it writes ([`parse_obj`]), matching
+//!   the `codec.rs` philosophy: deterministic, dependency-free.
+//! * [`trace`] — the merged-trace file: the [`RunMeta`] line plus events,
+//!   decoded into a [`Trace`]. Unknown event labels are a counted skip; a
+//!   known label with a missing field is an error.
 //! * [`stage`] — derives the per-vertex commit-latency *stage breakdown*
-//!   (propose → RBC-deliver → vote → commit), split by leader/non-leader
-//!   path, from a recorded event stream.
+//!   (propose → RBC-certify → commit), split by leader/non-leader path,
+//!   from the [`span`] fold of a recorded event stream.
 //! * [`span`] — causal commit spans: one block's lifecycle
 //!   (`Proposed → Echoed → Certified → Ordered → Committed`) reconstructed
 //!   across all parties from a merged trace.
@@ -40,11 +44,13 @@ pub mod ndjson;
 pub mod recorder;
 pub mod span;
 pub mod stage;
+pub mod trace;
 
 pub use event::{Event, RbcPhase, Stamped};
 pub use flight::{install_panic_dump, FlightRecorder};
 pub use hist::Histogram;
-pub use ndjson::JsonObj;
+pub use ndjson::{parse_obj, Fields, JsonObj, Value};
 pub use recorder::{mempool_summary, MemRecorder, NullRecorder, Recorder, TeeRecorder, Telemetry};
 pub use span::{Span, SpanSet, Stage};
 pub use stage::{stage_breakdown, StageBreakdown, StageStats};
+pub use trace::{RunMeta, Trace};

@@ -1,9 +1,12 @@
-//! A minimal hand-rolled JSON object writer (NDJSON building block).
+//! A minimal hand-rolled flat-JSON codec (the NDJSON building block).
 //!
 //! Same philosophy as `clanbft_types::codec`: deterministic output, no
 //! external crates. Only what traces need — flat objects with string,
-//! integer, float and boolean fields, keys emitted in insertion order.
+//! integer, float, boolean and integer-array fields. [`JsonObj`] writes
+//! them (keys in insertion order); [`parse_obj`] reads back exactly what
+//! it writes and rejects anything else, trailing bytes included.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Builder for one JSON object, rendered on a single line.
@@ -96,6 +99,236 @@ fn push_json_string(buf: &mut String, s: &str) {
         }
     }
     buf.push('"');
+}
+
+/// One value of a flat object, in the shapes [`JsonObj`] writes.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Value {
+    /// A non-negative integer (also how whole non-negative floats read).
+    U64(u64),
+    /// Any other finite number.
+    F64(f64),
+    /// A string.
+    Str(String),
+    /// A boolean.
+    Bool(bool),
+    /// An array of non-negative integers.
+    Arr(Vec<u64>),
+    /// `null` (how non-finite floats are written).
+    Null,
+}
+
+/// A parsed flat object with typed, field-naming accessors.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Fields(BTreeMap<String, Value>);
+
+impl Fields {
+    /// The raw value under `key`.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.0.get(key)
+    }
+
+    fn typed<'a, T>(
+        &'a self,
+        key: &str,
+        want: &str,
+        cast: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> Result<T, String> {
+        let v = self
+            .get(key)
+            .ok_or_else(|| format!("missing field {key:?}"))?;
+        cast(v).ok_or_else(|| format!("field {key:?}: expected {want}, got {v:?}"))
+    }
+
+    /// A required unsigned-integer field.
+    pub fn u64(&self, key: &str) -> Result<u64, String> {
+        self.typed(key, "an unsigned integer", |v| match v {
+            Value::U64(x) => Some(*x),
+            _ => None,
+        })
+    }
+
+    /// A required finite-number field (integers widen).
+    pub fn f64(&self, key: &str) -> Result<f64, String> {
+        self.typed(key, "a number", |v| match v {
+            Value::U64(x) => Some(*x as f64),
+            Value::F64(x) => Some(*x),
+            _ => None,
+        })
+    }
+
+    /// A required string field.
+    pub fn str(&self, key: &str) -> Result<&str, String> {
+        self.typed(key, "a string", |v| match v {
+            Value::Str(s) => Some(s.as_str()),
+            _ => None,
+        })
+    }
+
+    /// A required boolean field.
+    pub fn bool(&self, key: &str) -> Result<bool, String> {
+        self.typed(key, "a boolean", |v| match v {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        })
+    }
+
+    /// A required unsigned-integer-array field.
+    pub fn arr_u64(&self, key: &str) -> Result<&[u64], String> {
+        self.typed(key, "an integer array", |v| match v {
+            Value::Arr(xs) => Some(xs.as_slice()),
+            _ => None,
+        })
+    }
+}
+
+/// Parses one line [`JsonObj`] wrote. Errors name what was malformed.
+pub fn parse_obj(line: &str) -> Result<Fields, String> {
+    let mut r = Reader { text: line, pos: 0 };
+    r.expect(b'{')?;
+    let mut fields = BTreeMap::new();
+    if !r.eat(b'}') {
+        loop {
+            let key = r.string()?;
+            r.expect(b':')?;
+            fields.insert(key, r.value()?);
+            if r.eat(b'}') {
+                break;
+            }
+            r.expect(b',')?;
+        }
+    }
+    if r.pos != line.len() {
+        return Err(format!("trailing bytes after object at offset {}", r.pos));
+    }
+    Ok(Fields(fields))
+}
+
+struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl Reader<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn eat(&mut self, want: u8) -> bool {
+        let hit = self.peek() == Some(want);
+        self.pos += hit as usize;
+        hit
+    }
+
+    fn expect(&mut self, want: u8) -> Result<(), String> {
+        if self.eat(want) {
+            Ok(())
+        } else {
+            Err(format!(
+                "expected {:?} at offset {}, got {:?}",
+                want as char,
+                self.pos,
+                self.peek().map(char::from)
+            ))
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            let rest = &self.text[self.pos..];
+            let stop = rest.find(['"', '\\']).ok_or("unterminated string")?;
+            out.push_str(&rest[..stop]);
+            self.pos += stop + 1;
+            if rest.as_bytes()[stop] == b'"' {
+                return Ok(out);
+            }
+            let escaped = self.peek().ok_or("unterminated escape")?;
+            self.pos += 1;
+            out.push(match escaped {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'u' => {
+                    let hex = self.text.get(self.pos..self.pos + 4).unwrap_or("");
+                    self.pos += 4;
+                    u32::from_str_radix(hex, 16)
+                        .ok()
+                        .and_then(char::from_u32)
+                        .ok_or_else(|| format!("bad \\u escape {hex:?}"))?
+                }
+                other => return Err(format!("bad escape {:?}", other as char)),
+            });
+        }
+    }
+
+    /// `-?digits(.digits)?` — integers that fit `u64` read as [`Value::U64`],
+    /// everything else as [`Value::F64`].
+    fn number(&mut self) -> Result<Value, String> {
+        let start = self.pos;
+        let digits = |r: &mut Self| {
+            while r.peek().is_some_and(|b| b.is_ascii_digit()) {
+                r.pos += 1;
+            }
+        };
+        self.eat(b'-');
+        digits(self);
+        if self.eat(b'.') {
+            digits(self);
+        }
+        let text = &self.text[start..self.pos];
+        match text.parse::<u64>() {
+            Ok(v) => Ok(Value::U64(v)),
+            Err(_) => text
+                .parse::<f64>()
+                .map(Value::F64)
+                .map_err(|_| format!("bad number {text:?}")),
+        }
+    }
+
+    fn value(&mut self) -> Result<Value, String> {
+        let literal = |r: &mut Self, text: &str, v: Value| {
+            if r.text[r.pos..].starts_with(text) {
+                r.pos += text.len();
+                Ok(v)
+            } else {
+                Err(format!("bad literal at offset {}", r.pos))
+            }
+        };
+        match self.peek() {
+            Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b't') => literal(self, "true", Value::Bool(true)),
+            Some(b'f') => literal(self, "false", Value::Bool(false)),
+            Some(b'n') => literal(self, "null", Value::Null),
+            Some(b'[') => {
+                self.pos += 1;
+                let mut arr = Vec::new();
+                if !self.eat(b']') {
+                    loop {
+                        match self.number()? {
+                            Value::U64(v) => arr.push(v),
+                            other => return Err(format!("array element {other:?} is not a u64")),
+                        }
+                        if self.eat(b']') {
+                            break;
+                        }
+                        self.expect(b',')?;
+                    }
+                }
+                Ok(Value::Arr(arr))
+            }
+            other => Err(format!(
+                "unexpected value start {:?} at offset {}",
+                other.map(char::from),
+                self.pos
+            )),
+        }
+    }
 }
 
 #[cfg(test)]

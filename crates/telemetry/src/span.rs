@@ -302,13 +302,6 @@ impl SpanSet {
             .or_insert_with(|| Span::new(round, proposer))
     }
 
-    /// The stage of one span (see [`Span::stage`]).
-    pub fn stage_of(&self, round: Round, proposer: PartyId) -> Option<Stage> {
-        self.spans
-            .get(&(round, proposer))
-            .map(|sp| sp.stage(&self.committers))
-    }
-
     /// Parties named as culprits by any evidence record.
     pub fn culprits(&self) -> BTreeSet<PartyId> {
         self.evidence.iter().map(|(_, _, c, _, _)| *c).collect()
@@ -479,7 +472,7 @@ mod tests {
                 9,
                 0,
                 Event::EvidenceRecorded {
-                    kind: "equivocating_source",
+                    kind: "equivocating_source".into(),
                     round: Round(1),
                     culprit: PartyId(1),
                 },

@@ -13,14 +13,14 @@
 //!
 //! then aggregates the intervals into per-path ([`StageStats`]) histograms,
 //! split leader / non-leader via the flag the consensus layer stamps on
-//! [`Event::VertexCommitted`]. For leader vertices the certify→vote gap is
-//! additionally recorded from [`Event::LeaderVote`].
+//! [`Event::VertexCommitted`](crate::Event::VertexCommitted). The
+//! timestamps come from the [`SpanSet`] fold, so the per-block lifecycle
+//! is reconstructed exactly once.
 
-use crate::event::{Event, RbcPhase, Stamped};
+use crate::event::Stamped;
 use crate::hist::Histogram;
 use crate::ndjson::JsonObj;
-use clanbft_types::{Micros, PartyId, Round};
-use std::collections::BTreeMap;
+use crate::span::SpanSet;
 
 /// Aggregated stage timings for one commit path (leader or non-leader).
 #[derive(Clone, Debug, Default)]
@@ -33,8 +33,6 @@ pub struct StageStats {
     pub commit: Histogram,
     /// Propose → committed, end to end (µs).
     pub total: Histogram,
-    /// Certify → leader vote (leader path only; empty for non-leader).
-    pub cert_to_vote: Histogram,
 }
 
 impl StageStats {
@@ -90,63 +88,24 @@ impl StageBreakdown {
 /// a later vertex's carried justification before its own RBC instance
 /// certifies.
 pub fn stage_breakdown(events: &[Stamped]) -> StageBreakdown {
-    // Vertex identity is (round, source); certification and commit are
-    // per observing party.
-    let mut proposed: BTreeMap<(Round, PartyId), Micros> = BTreeMap::new();
-    let mut certified: BTreeMap<(Round, PartyId, PartyId), Micros> = BTreeMap::new();
-    let mut voted: BTreeMap<(Round, PartyId, PartyId), Micros> = BTreeMap::new();
-    for s in events {
-        match &s.event {
-            Event::VertexProposed { round, .. } => {
-                proposed.entry((*round, s.party)).or_insert(s.at);
-            }
-            Event::Rbc {
-                phase: RbcPhase::Certified,
-                round,
-                source,
-            } => {
-                certified.entry((*round, *source, s.party)).or_insert(s.at);
-            }
-            Event::LeaderVote { round, leader } => {
-                voted.entry((*round, *leader, s.party)).or_insert(s.at);
-            }
-            _ => {}
-        }
-    }
-
     let mut out = StageBreakdown::default();
-    for s in events {
-        let Event::VertexCommitted {
-            round,
-            source,
-            leader,
-            ..
-        } = &s.event
-        else {
+    for span in SpanSet::from_events(events).spans.values() {
+        let Some(prop) = span.proposed_at else {
             continue;
         };
-        let Some(&prop) = proposed.get(&(*round, *source)) else {
-            continue;
-        };
-        let cert = certified
-            .get(&(*round, *source, s.party))
-            .copied()
-            // Certified implicitly (e.g. through a carried certificate):
-            // attribute the whole interval to the RBC stage.
-            .unwrap_or(s.at);
-        let stats = if *leader {
+        let stats = if span.leader {
             &mut out.leader
         } else {
             &mut out.non_leader
         };
-        stats.commits += 1;
-        stats.rbc.record(cert.0.saturating_sub(prop.0));
-        stats.commit.record(s.at.0.saturating_sub(cert.0));
-        stats.total.record(s.at.0.saturating_sub(prop.0));
-        if *leader {
-            if let Some(&vote) = voted.get(&(*round, *source, s.party)) {
-                stats.cert_to_vote.record(vote.0.saturating_sub(cert.0));
-            }
+        for (party, &(at, _)) in &span.committed {
+            // Certified implicitly (e.g. through a carried certificate):
+            // attribute the whole interval to the RBC stage.
+            let cert = span.certified.get(party).copied().unwrap_or(at);
+            stats.commits += 1;
+            stats.rbc.record(cert.0.saturating_sub(prop.0));
+            stats.commit.record(at.0.saturating_sub(cert.0));
+            stats.total.record(at.0.saturating_sub(prop.0));
         }
     }
     out
@@ -155,6 +114,8 @@ pub fn stage_breakdown(events: &[Stamped]) -> StageBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{Event, RbcPhase};
+    use clanbft_types::{Micros, PartyId, Round};
 
     fn ev(at: u64, party: u32, event: Event) -> Stamped {
         Stamped {
@@ -231,12 +192,10 @@ mod tests {
         assert_eq!(b.leader.rbc.max(), 200);
         assert_eq!(b.leader.commit.max(), 300);
         assert_eq!(b.leader.total.max(), 500);
-        assert_eq!(b.leader.cert_to_vote.max(), 50);
         // Non-leader vertex: propose 110, certified 320, committed 600.
         assert_eq!(b.non_leader.rbc.max(), 210);
         assert_eq!(b.non_leader.commit.max(), 280);
         assert_eq!(b.non_leader.total.max(), 490);
-        assert_eq!(b.non_leader.cert_to_vote.count(), 0);
         // Renders two NDJSON lines.
         let nd = b.to_ndjson();
         assert_eq!(nd.lines().count(), 2);

@@ -17,10 +17,10 @@
 //! documents.
 
 use clanbft_adversary::Attack;
-use clanbft_inspect::{check_report, diff, incident_report, parse_trace, waterfall};
+use clanbft_inspect::{check_report, diff, incident_report, waterfall};
 use clanbft_sim::{build_tribe, export_trace, tribe::elect_clan, TribeSpec};
 use clanbft_telemetry::{
-    install_panic_dump, FlightRecorder, MemRecorder, Recorder, TeeRecorder, Telemetry,
+    install_panic_dump, FlightRecorder, MemRecorder, Recorder, TeeRecorder, Telemetry, Trace,
 };
 use clanbft_types::{Micros, PartyId};
 use std::sync::Arc;
@@ -92,8 +92,8 @@ fn main() {
     std::fs::write(&withhold_path, &withhold_text).expect("write withhold trace");
     println!("wrote {benign_path} and {withhold_path}\n");
 
-    let benign = parse_trace(&benign_text).expect("benign trace parses");
-    let withhold = parse_trace(&withhold_text).expect("withhold trace parses");
+    let benign = Trace::parse(&benign_text).expect("benign trace parses");
+    let withhold = Trace::parse(&withhold_text).expect("withhold trace parses");
 
     println!("-- benign commit waterfall --");
     print!("{}", waterfall(&benign));

@@ -21,10 +21,10 @@
 //! re-judge it through the `clanbft-inspect` binary as well. Exits non-zero
 //! on any violation.
 
-use clanbft_inspect::{check_report, parse_trace};
+use clanbft_inspect::check_report;
 use clanbft_mempool::WorkloadSpec;
 use clanbft_sim::{build_tribe, export_trace, write_trace, TribeSpec};
-use clanbft_telemetry::{counters, mempool_summary, Telemetry};
+use clanbft_telemetry::{counters, mempool_summary, Telemetry, Trace};
 use clanbft_types::Micros;
 
 const CLIENTS: u64 = 13_000;
@@ -103,7 +103,7 @@ fn main() {
     assert_eq!(recorder.counter(counters::MEMPOOL_REJECTED_FULL), 0);
 
     // --- trace gate ---------------------------------------------------------
-    let trace = parse_trace(&export_trace(&spec, &recorder)).expect("trace parses");
+    let trace = Trace::parse(&export_trace(&spec, &recorder)).expect("trace parses");
     let (report, ok) = check_report(&trace);
     print!("{report}");
     assert!(ok, "trace failed the clanbft-inspect invariant gate");

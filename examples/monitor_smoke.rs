@@ -16,10 +16,10 @@
 //! expectation fails — `scripts/ci.sh` runs this end to end.
 
 use clanbft_adversary::Attack;
-use clanbft_inspect::{alert_report, check_report, parse_trace};
+use clanbft_inspect::{alert_report, check_report};
 use clanbft_monitor::{Detector, HealthMonitor, Verdict};
 use clanbft_sim::{build_tribe, export_trace, tribe::elect_clan, TribeSpec};
-use clanbft_telemetry::{MemRecorder, Telemetry};
+use clanbft_telemetry::{MemRecorder, Telemetry, Trace};
 use clanbft_types::{Micros, PartyId};
 use std::sync::Arc;
 
@@ -48,7 +48,7 @@ fn run(spec: &TribeSpec, mem: &Arc<MemRecorder>) -> String {
 }
 
 fn judge_offline(label: &str, trace_text: &str) {
-    let trace = parse_trace(trace_text).expect("trace parses");
+    let trace = Trace::parse(trace_text).expect("trace parses");
     let (report, ok) = check_report(&trace);
     print!("{label} {report}");
     assert!(ok, "{label} trace failed invariant checks");
@@ -180,7 +180,7 @@ fn main() {
 
     // The offline replay of the faulty trace must reach the same verdict
     // shape the online monitor saw (event-driven detectors only).
-    let faulty_trace = parse_trace(&faulty_text).expect("faulty trace parses");
+    let faulty_trace = Trace::parse(&faulty_text).expect("faulty trace parses");
     let report = alert_report(&faulty_trace);
     print!("\n-- faulty offline alert replay --\n{report}");
     assert!(

@@ -33,10 +33,9 @@
 //! `CLANBFT_PERF_TOL`× the recorded wall, default 8×). Refresh it with
 //! `--write-baseline` after an intentional change.
 
-use clanbft_inspect::parse::{parse_line, Value};
 use clanbft_profiler as prof;
 use clanbft_sim::{ExperimentSpec, Proto, RunMetrics};
-use clanbft_telemetry::JsonObj;
+use clanbft_telemetry::{parse_obj, JsonObj};
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -307,10 +306,10 @@ fn main() {
         Err(_) => println!("perf_smoke: no baseline at {bpath} (run --write-baseline to pin one)"),
         Ok(text) => {
             let line = text.lines().next().unwrap_or("");
-            let base = parse_line(line).unwrap_or_else(|e| fail(&format!("parsing {bpath}: {e}")));
-            let base_u64 = |key: &str| match base.get(key) {
-                Some(Value::U64(v)) => *v,
-                _ => fail(&format!("baseline missing {key:?}")),
+            let base = parse_obj(line).unwrap_or_else(|e| fail(&format!("parsing {bpath}: {e}")));
+            let base_u64 = |key: &str| {
+                base.u64(key)
+                    .unwrap_or_else(|e| fail(&format!("baseline {bpath}: {e}")))
             };
             // Deterministic facts must match exactly.
             for key in ["committed_txs", "sim_events", "distinct_scopes"] {

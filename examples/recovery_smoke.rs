@@ -24,9 +24,9 @@
 //! Exits non-zero on any violation, so `scripts/ci.sh` runs it as the
 //! crash-recovery gate.
 
-use clanbft_inspect::{check_report, parse_trace};
+use clanbft_inspect::check_report;
 use clanbft_sim::{build_tribe, export_trace, TribeSpec};
-use clanbft_telemetry::{counters, Event, Telemetry};
+use clanbft_telemetry::{counters, Event, Telemetry, Trace};
 use clanbft_types::{Micros, PartyId, Round};
 
 fn write_trace(out_dir: &str, name: &str, text: &str) {
@@ -74,7 +74,7 @@ fn restart_run(out_dir: &str) {
     assert!(requests > 0, "restart never requested state transfer");
 
     let text = export_trace(&spec, &recorder);
-    let trace = parse_trace(&text).expect("trace parses");
+    let trace = Trace::parse(&text).expect("trace parses");
     assert_eq!(trace.skipped, 0, "trace contained unknown event labels");
     let recoveries = trace
         .events
@@ -141,7 +141,7 @@ fn rotation_run(out_dir: &str) {
     assert!(rotations > 0, "rotation counter never ticked");
 
     let text = export_trace(&spec, &recorder);
-    let trace = parse_trace(&text).expect("trace parses");
+    let trace = Trace::parse(&text).expect("trace parses");
     assert_eq!(trace.skipped, 0, "trace contained unknown event labels");
     assert!(
         trace

@@ -19,10 +19,10 @@
 //! Exits non-zero if any invariant fails, so `scripts/ci.sh` can run it as
 //! an end-to-end telemetry check.
 
-use clanbft_inspect::{check_report, estimate_delta, parse_trace};
+use clanbft_inspect::{check_report, estimate_delta};
 use clanbft_sim::{build_tribe, collect_metrics, export_trace, tribe::elect_clan, TribeSpec};
 use clanbft_telemetry::span::SpanSet;
-use clanbft_telemetry::{counters, mempool_summary, stage_breakdown, Telemetry};
+use clanbft_telemetry::{counters, mempool_summary, stage_breakdown, Telemetry, Trace};
 use clanbft_types::Micros;
 
 fn main() {
@@ -45,7 +45,7 @@ fn main() {
     assert!(!events.is_empty(), "instrumented run produced no events");
 
     // --- shared trace invariants (the `clanbft-inspect check` gate) --------
-    let trace = parse_trace(&export_trace(&spec, &recorder)).expect("trace parses");
+    let trace = Trace::parse(&export_trace(&spec, &recorder)).expect("trace parses");
     let (report, ok) = check_report(&trace);
     print!("{report}");
     assert!(ok, "trace failed the clanbft-inspect invariant gate");

@@ -14,6 +14,12 @@ cargo build --release --offline
 echo "== cargo test -q --offline"
 cargo test -q --offline
 
+echo "== benchmark crate (builds against the workspace crates it measures)"
+# The benchmark is a stand-alone workspace (see BENCHMARK.json) compiled
+# from these crates by path, so a change to a type it uses must keep it
+# building; its own suite pins the metric extraction.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

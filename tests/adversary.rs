@@ -366,11 +366,8 @@ fn double_votes_yield_evidence() {
     // Evidence also reaches the event stream for offline audit.
     assert!(
         rec.events().iter().any(|s| matches!(
-            s.event,
-            Event::EvidenceRecorded {
-                kind: "double_vote",
-                ..
-            }
+            &s.event,
+            Event::EvidenceRecorded { kind, .. } if kind == "double_vote"
         )),
         "no double_vote evidence event emitted"
     );

@@ -101,8 +101,8 @@ fn same_seed_runs_analyze_identically() {
     // trace passes the `clanbft-inspect check` invariant gate. (This also
     // exercises the full NDJSON round trip: every event the stack emits is
     // parseable, none are skipped as unknown.)
-    let first = clanbft_inspect::parse_trace(&run_traced(42)).expect("trace parses");
-    let second = clanbft_inspect::parse_trace(&run_traced(42)).expect("trace parses");
+    let first = clanbft_telemetry::Trace::parse(&run_traced(42)).expect("trace parses");
+    let second = clanbft_telemetry::Trace::parse(&run_traced(42)).expect("trace parses");
     assert_eq!(first.skipped, 0, "trace contained unknown event labels");
     let (wf_a, wf_b) = (
         clanbft_inspect::waterfall(&first),
