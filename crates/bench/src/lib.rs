@@ -13,7 +13,7 @@
 
 use clanbft_profiler as prof;
 use clanbft_sim::{ExperimentSpec, Proto, RunMetrics};
-use clanbft_telemetry::Telemetry;
+use clanbft_telemetry::{encode_profile, Telemetry};
 use std::io::Write;
 
 pub mod timing;
@@ -50,7 +50,7 @@ pub fn finish_profiling(label: &str) {
     let Some(path) = profile_path() else { return };
     let report = prof::take_report();
     prof::disable();
-    append_ndjson(&path, &report.to_ndjson(label));
+    append_ndjson(&path, &encode_profile(&report, label));
     append_ndjson(&format!("{path}.collapsed"), &report.to_collapsed());
     println!(
         "profile: {} scopes -> {path} (+ .collapsed)",

@@ -690,44 +690,16 @@ impl SailfishNode {
             let Some(v) = self.dag.get(&vref) else {
                 continue;
             };
-            let (block_digest, block_bytes, block_tx_count) =
-                (v.block_digest, v.block_bytes, v.block_tx_count);
-            // Epoch rotation decides at fixed positions of the agreed
-            // sequence: decide *before* folding this vertex into the
-            // liveness table, so every party votes on identical state.
-            self.decide_epochs_up_to(vref.round, now);
-            self.committed_round_by[vref.source.idx()] =
-                self.committed_round_by[vref.source.idx()].max(vref.round.0 + 1);
-            let sequence = self.next_commit_seq();
-            if self.storage.is_some() {
-                self.log_wal(&clanbft_storage::WalRecord::Committed {
-                    sequence,
-                    vertex: vref,
-                    block_digest,
-                    block_tx_count,
-                    leader_round: round,
-                });
-            }
-            self.cfg.telemetry.event(
-                now,
-                self.cfg.me,
-                Event::VertexCommitted {
-                    round: vref.round,
-                    source: vref.source,
-                    leader: self.schedule.leader_vertex(vref.round) == vref,
-                    sequence,
-                },
-            );
-            self.cfg.telemetry.add(counters::COMMIT_VERTICES, 1);
-            self.committed_log.push(CommittedVertex {
-                sequence,
+            let commit = CommittedVertex {
+                sequence: self.next_commit_seq(),
                 vertex: vref,
-                block_digest,
-                block_bytes,
-                block_tx_count,
+                block_digest: v.block_digest,
+                block_bytes: v.block_bytes,
+                block_tx_count: v.block_tx_count,
                 committed_at: now,
                 leader_round: round,
-            });
+            };
+            self.emit_commit(commit);
             if self.executor.is_some()
                 && self
                     .rbc
@@ -737,18 +709,54 @@ impl SailfishNode {
             {
                 self.exec_queue.push_back(vref);
             }
-            // Commit feedback for our own proposals: closed-loop clients
-            // submit their next transaction the moment the previous commits.
-            if vref.source == self.cfg.me {
-                if let Some(ingress) = self.ingress.as_mut() {
-                    ingress.on_committed(vref, now);
-                }
-            }
         }
         self.last_committed = Some(round);
         self.try_execute(now);
         self.garbage_collect();
         self.maybe_checkpoint();
+    }
+
+    /// Records one commit at its place in the total order: the epoch
+    /// decisions it crosses, the liveness-table fold, the WAL record, the
+    /// `VertexCommitted` event and its counter, own-proposal ingress
+    /// feedback and the committed log. Direct commits (`try_commit`) and
+    /// state-transfer adoption (`adopt_commit`) both record through here.
+    pub(crate) fn emit_commit(&mut self, c: CommittedVertex) {
+        let (vref, now) = (c.vertex, c.committed_at);
+        // Epoch rotation decides at fixed positions of the agreed
+        // sequence: decide *before* folding this vertex into the
+        // liveness table, so every party votes on identical state.
+        self.decide_epochs_up_to(vref.round, now);
+        let idx = vref.source.idx();
+        self.committed_round_by[idx] = self.committed_round_by[idx].max(vref.round.0 + 1);
+        if self.storage.is_some() {
+            self.log_wal(&clanbft_storage::WalRecord::Committed {
+                sequence: c.sequence,
+                vertex: vref,
+                block_digest: c.block_digest,
+                block_tx_count: c.block_tx_count,
+                leader_round: c.leader_round,
+            });
+        }
+        self.cfg.telemetry.event(
+            now,
+            self.cfg.me,
+            Event::VertexCommitted {
+                round: vref.round,
+                source: vref.source,
+                leader: self.schedule.leader_vertex(vref.round) == vref,
+                sequence: c.sequence,
+            },
+        );
+        self.cfg.telemetry.add(counters::COMMIT_VERTICES, 1);
+        // Commit feedback for our own proposals: closed-loop clients
+        // submit their next transaction the moment the previous commits.
+        if vref.source == self.cfg.me {
+            if let Some(ingress) = self.ingress.as_mut() {
+                ingress.on_committed(vref, now);
+            }
+        }
+        self.committed_log.push(c);
     }
 
     pub(crate) fn next_commit_seq(&self) -> u64 {

@@ -584,39 +584,7 @@ impl SailfishNode {
     /// if this node had committed it: same sequence, same epoch decisions,
     /// same liveness-table fold — only the wall-clock stamp is local.
     fn adopt_commit(&mut self, entry: CommittedRec, now: Micros) {
-        self.decide_epochs_up_to(entry.vertex.round, now);
-        let idx = entry.vertex.source.idx();
-        self.committed_round_by[idx] = self.committed_round_by[idx].max(entry.vertex.round.0 + 1);
-        if self.storage.is_some() {
-            self.log_wal(&WalRecord::Committed {
-                sequence: entry.sequence,
-                vertex: entry.vertex,
-                block_digest: entry.block_digest,
-                block_tx_count: entry.block_tx_count,
-                leader_round: entry.leader_round,
-            });
-        }
-        self.cfg.telemetry.event(
-            now,
-            self.cfg.me,
-            Event::VertexCommitted {
-                round: entry.vertex.round,
-                source: entry.vertex.source,
-                leader: self.schedule.leader_vertex(entry.vertex.round) == entry.vertex,
-                sequence: entry.sequence,
-            },
-        );
-        self.dag.mark_ordered(entry.vertex);
-        self.last_committed = Some(
-            self.last_committed
-                .map_or(entry.leader_round, |lc| lc.max(entry.leader_round)),
-        );
-        if entry.vertex.source == self.cfg.me {
-            if let Some(ingress) = self.ingress.as_mut() {
-                ingress.on_committed(entry.vertex, now);
-            }
-        }
-        self.committed_log.push(CommittedVertex {
+        self.emit_commit(CommittedVertex {
             sequence: entry.sequence,
             vertex: entry.vertex,
             block_digest: entry.block_digest,
@@ -625,6 +593,11 @@ impl SailfishNode {
             committed_at: now,
             leader_round: entry.leader_round,
         });
+        self.dag.mark_ordered(entry.vertex);
+        self.last_committed = Some(
+            self.last_committed
+                .map_or(entry.leader_round, |lc| lc.max(entry.leader_round)),
+        );
     }
 
     // --- checkpoints --------------------------------------------------------

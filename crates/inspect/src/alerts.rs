@@ -9,7 +9,7 @@
 //! (buffer growth, mempool collapse, WAL degradation) are online-only and
 //! the report says so.
 
-use clanbft_monitor::{replay_events, AlertKind, MonitorConfig};
+use clanbft_monitor::{replay_events, AlertKind};
 use clanbft_telemetry::Trace;
 use clanbft_types::PartyId;
 use std::fmt::Write as _;
@@ -29,7 +29,7 @@ pub fn alert_report(trace: &Trace) -> String {
             .max()
             .unwrap_or(0),
     };
-    let bank = replay_events(&trace.events, parties, MonitorConfig::default());
+    let bank = replay_events(&trace.events, parties);
 
     let mut out = String::new();
     let _ = writeln!(

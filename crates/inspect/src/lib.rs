@@ -15,8 +15,8 @@
 //!   ([`dot()`], [`ascii()`]).
 //! * [`diff`] — two-run comparison with per-stage regression ratios and a
 //!   verdict naming the dominant one ([`diff()`]).
-//! * [`perf`] — performance-profile views over `clanbft_profiler` NDJSON,
-//!   decoded into `clanbft_profiler::ScopeStat` rows: hot-scope table,
+//! * [`perf`] — performance-profile views over the profile files
+//!   `clanbft_telemetry::perf` decodes: hot-scope table,
 //!   scope tree, allocation table, and a two-profile diff with % deltas
 //!   and a regression verdict ([`profile_report`], [`profile_diff`]).
 //! * [`check`] — the CI gate: sequence contiguity, agreement, stage
@@ -43,5 +43,5 @@ pub use diff::{diff, profile, RunProfile};
 pub use dot::{ascii, dot, parse_round_range};
 pub use health::{health_report, round_health, RoundHealth};
 pub use incident::{incident_report, incidents, Incident};
-pub use perf::{parse_profile, parse_profiles, profile_diff, profile_report, PerfProfile};
+pub use perf::{profile_diff, profile_report};
 pub use waterfall::{estimate_delta, waterfall};

@@ -18,10 +18,10 @@
 //! from stdin.
 
 use clanbft_inspect::{
-    alert_report, ascii, check_report, diff, dot, health_report, incident_report, parse_profile,
-    parse_round_range, profile_diff, profile_report, waterfall, PerfProfile,
+    alert_report, ascii, check_report, diff, dot, health_report, incident_report,
+    parse_round_range, profile_diff, profile_report, waterfall,
 };
-use clanbft_telemetry::Trace;
+use clanbft_telemetry::{decode_profile, Profile, Trace};
 use std::io::Read as _;
 use std::process::ExitCode;
 
@@ -54,8 +54,8 @@ fn read_input(path: &str) -> Result<String, String> {
     }
 }
 
-fn load_profile(path: &str) -> Result<PerfProfile, String> {
-    parse_profile(&read_input(path)?).map_err(|e| format!("parsing {path}: {e}"))
+fn load_profile(path: &str) -> Result<Profile, String> {
+    decode_profile(&read_input(path)?).map_err(|e| format!("parsing {path}: {e}"))
 }
 
 fn run() -> Result<ExitCode, String> {

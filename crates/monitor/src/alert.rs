@@ -13,11 +13,11 @@ use clanbft_types::{Micros, PartyId, Round};
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Detector {
     /// A party's commit frontier lags the cluster's newest commit by more
-    /// than the configured stall threshold (no `Committed` within k·δ̂ of
-    /// the parties that *are* progressing).
+    /// than [`STALL_AFTER`](crate::detect::STALL_AFTER) (no `Committed`
+    /// within k·δ̂ of the parties that *are* progressing).
     CommitStall,
     /// A party's current round trails the cluster's maximum entered round
-    /// by the configured number of rounds.
+    /// by [`SKEW_ROUNDS`](crate::detect::SKEW_ROUNDS) or more.
     RoundSkew,
     /// A bounded buffer (`buf.*` occupancy gauge) crossed its high-water
     /// mark.

@@ -8,13 +8,88 @@
 //! (determinism pins rely on this). The one host-measured input is the WAL
 //! fsync-latency histogram; its detector therefore only appears in runs
 //! with durable storage and is excluded from byte-exact pins.
+//!
+//! The thresholds below are sized for the repo's evaluation tribes
+//! (seconds-scale round trips, sub-second commit cadence): benign runs stay
+//! strictly below every fire threshold, while the fault matrices
+//! (withholding, crashes, equivocation) cross them within a couple of
+//! rounds. Online monitoring and offline replay (`clanbft-inspect alerts`)
+//! share them, so their verdicts agree by construction.
 
 use crate::alert::{Alert, AlertKind, Detector, DETECTOR_COUNT};
-use crate::config::MonitorConfig;
 use crate::health::{HealthSnapshot, Verdict};
 use clanbft_telemetry::{counters, Event, RbcPhase, Stamped};
 use clanbft_types::{Micros, PartyId, Round};
 use std::collections::{BTreeMap, VecDeque};
+
+/// Commit-stall watchdog: fire when a party's newest commit lags the
+/// cluster's newest commit by more than this (1.5 s). Judged against the
+/// *other* parties' progress (not wall time), so a quiescent run-end never
+/// fires it.
+pub const STALL_AFTER: Micros = Micros(1_500_000);
+/// Round-skew: fire when a party's entered round trails the cluster
+/// maximum by at least this many rounds.
+pub const SKEW_ROUNDS: u64 = 3;
+/// Buffer growth: fire when any `buf.*` occupancy gauge reaches this.
+pub const BUFFER_HI: u64 = 4_096;
+/// Buffer growth clears when every `buf.*` gauge is back at or below this
+/// (the hysteresis gap prevents flapping).
+pub const BUFFER_LO: u64 = 512;
+/// Rolling window for the pull-retry storm detector (1 s).
+pub const RETRY_WINDOW: Micros = Micros(1_000_000);
+/// Pull retries within the window that fire the storm detector.
+pub const RETRY_FIRE: u64 = 6;
+/// The storm clears when the window count falls to or below this.
+pub const RETRY_CLEAR: u64 = 1;
+/// Rolling window for the evidence-rate detector (2 s).
+pub const EVIDENCE_WINDOW: Micros = Micros(2_000_000);
+/// Evidence records against one culprit within the window that fire.
+pub const EVIDENCE_FIRE: u64 = 1;
+/// Rolling window for the mempool-collapse detector (1 s).
+pub const MEMPOOL_WINDOW: Micros = Micros(1_000_000);
+/// Capacity rejections within the window that fire the collapse detector.
+pub const MEMPOOL_REJECT_FIRE: u64 = 64;
+/// A WAL fsync slower than this (host-measured, microseconds) counts as
+/// slow.
+pub const WAL_FSYNC_SLOW_US: u64 = 50_000;
+/// Slow fsyncs within the window that fire the degradation detector.
+pub const WAL_FSYNC_FIRE: u64 = 3;
+/// Rolling window for the WAL-degradation detector (5 s).
+pub const WAL_WINDOW: Micros = Micros(5_000_000);
+/// A checkpoint larger than this many bytes fires degradation immediately.
+pub const CHECKPOINT_BYTES_HI: u64 = 64 * 1024 * 1024;
+/// Per-(detector, party) cap on fire transitions; beyond it further
+/// fire/clear pairs are counted as suppressed instead of emitted.
+pub const RATE_CAP: u64 = 16;
+/// Cluster-health snapshot cadence (event-time driven, 500 ms).
+pub const SNAPSHOT_EVERY: Micros = Micros(500_000);
+/// Bound on the retained snapshot history.
+pub const SNAPSHOT_CAP: usize = 4_096;
+
+/// Weighted stamps inside a rolling window `SPAN_US` microseconds long.
+#[derive(Default)]
+struct Window<const SPAN_US: u64>(VecDeque<(Micros, u64)>);
+
+impl<const SPAN_US: u64> Window<SPAN_US> {
+    /// Adds `weight` at `at`, then expires against `at`.
+    fn push(&mut self, at: Micros, weight: u64) {
+        self.0.push_back((at, weight));
+        self.expire(at);
+    }
+
+    /// Drops the stamps older than the window before `now`.
+    fn expire(&mut self, now: Micros) {
+        let cut = now.saturating_sub(Micros(SPAN_US));
+        while self.0.front().is_some_and(|(at, _)| *at < cut) {
+            self.0.pop_front();
+        }
+    }
+
+    /// Summed weight inside the window.
+    fn total(&self) -> u64 {
+        self.0.iter().map(|(_, w)| w).sum()
+    }
+}
 
 /// Fire/clear state of one detector for one party.
 #[derive(Default, Clone)]
@@ -37,14 +112,14 @@ struct PartyState {
     round: u64,
     /// Stamp of the party's newest commit.
     last_commit_at: Option<Micros>,
-    /// Pull-retry stamps inside the rolling window.
-    retries: VecDeque<Micros>,
-    /// Evidence stamps (this party as culprit) inside the window.
-    evidence: VecDeque<Micros>,
-    /// Capacity-rejection stamps/deltas inside the window.
-    mempool_rejects: VecDeque<(Micros, u64)>,
-    /// Slow-fsync stamps inside the window.
-    slow_fsyncs: VecDeque<Micros>,
+    /// Pull retries inside the window (weight 1 each).
+    retries: Window<{ RETRY_WINDOW.0 }>,
+    /// Evidence records with this party as culprit (weight 1 each).
+    evidence: Window<{ EVIDENCE_WINDOW.0 }>,
+    /// Capacity rejections, weighted by the counter delta.
+    mempool_rejects: Window<{ MEMPOOL_WINDOW.0 }>,
+    /// Slow fsyncs (weight 1 each).
+    slow_fsyncs: Window<{ WAL_WINDOW.0 }>,
     /// Newest value of every `buf.*` occupancy gauge.
     buf_gauges: BTreeMap<&'static str, u64>,
     /// Per-detector fire/clear state.
@@ -55,12 +130,56 @@ impl PartyState {
     fn any_active(&self) -> bool {
         self.hys.iter().any(|h| h.active)
     }
+
+    /// One fire (`fire`) or clear transition of `detector` for `party`,
+    /// stamped with this party's round, with hysteresis and the rate cap
+    /// applied.
+    fn transition(
+        &mut self,
+        alerts: &mut Vec<Alert>,
+        party: PartyId,
+        detector: Detector,
+        fire: bool,
+        at: Micros,
+        evidence: String,
+    ) {
+        let h = &mut self.hys[detector.index()];
+        if h.active == fire {
+            return;
+        }
+        h.active = fire;
+        if fire {
+            h.fires += 1;
+            if h.fires > RATE_CAP {
+                h.suppressed += 1;
+                h.suppressing = true;
+                return;
+            }
+        } else if h.suppressing {
+            h.suppressing = false;
+            h.suppressed += 1;
+            return;
+        }
+        alerts.push(Alert {
+            at,
+            detector,
+            kind: if fire {
+                AlertKind::Fire
+            } else {
+                AlertKind::Clear
+            },
+            severity: detector.severity(),
+            party,
+            round: Round(self.round),
+            evidence,
+        });
+    }
 }
 
 /// The streaming detector bank shared by the online monitor and offline
 /// replay.
+#[derive(Default)]
 pub struct DetectorBank {
-    cfg: MonitorConfig,
     parties: BTreeMap<PartyId, PartyState>,
     /// Maximum event stamp seen (the bank's clock).
     now: Micros,
@@ -79,32 +198,15 @@ pub struct DetectorBank {
 }
 
 impl DetectorBank {
-    /// An empty bank with the given thresholds.
-    pub fn new(cfg: MonitorConfig) -> DetectorBank {
-        DetectorBank {
-            cfg,
-            parties: BTreeMap::new(),
-            now: Micros::ZERO,
-            started_at: None,
-            frontier_at: None,
-            frontier_seq: 0,
-            max_round: 0,
-            alerts: Vec::new(),
-            snapshots: Vec::new(),
-            snapshots_skipped: 0,
-            last_snapshot_at: None,
-        }
+    /// An empty bank.
+    pub fn new() -> DetectorBank {
+        DetectorBank::default()
     }
 
     /// Registers a party so cluster verdicts cover it even before its first
     /// event arrives.
     pub fn register(&mut self, party: PartyId) {
         self.parties.entry(party).or_default();
-    }
-
-    /// The bank's thresholds.
-    pub fn config(&self) -> &MonitorConfig {
-        &self.cfg
     }
 
     /// Consumes one stamped protocol event.
@@ -129,44 +231,16 @@ impl DetectorBank {
         if !gauge.starts_with("buf.") {
             return;
         }
-        self.register(party);
-        let cfg = self.cfg.clone();
-        let state = self.parties.get_mut(&party).expect("registered");
+        let (now, alerts) = (self.now, &mut self.alerts);
+        let state = self.parties.entry(party).or_default();
         state.buf_gauges.insert(gauge, value);
-        let over: Vec<(&'static str, u64)> = state
-            .buf_gauges
-            .iter()
-            .filter(|(_, v)| **v >= cfg.buffer_hi)
-            .map(|(k, v)| (*k, *v))
-            .collect();
-        let all_low = state.buf_gauges.values().all(|v| *v <= cfg.buffer_lo);
-        let (now, round) = (self.now, Round(state.round));
-        if let Some((name, v)) = over.first() {
-            let evidence = format!("{name} at {v} >= {}", cfg.buffer_hi);
-            Self::transition(
-                &mut self.alerts,
-                &cfg,
-                state,
-                party,
-                Detector::BufferGrowth,
-                true,
-                now,
-                round,
-                evidence,
-            );
-        } else if all_low {
-            let evidence = format!("all buf.* gauges <= {}", cfg.buffer_lo);
-            Self::transition(
-                &mut self.alerts,
-                &cfg,
-                state,
-                party,
-                Detector::BufferGrowth,
-                false,
-                now,
-                round,
-                evidence,
-            );
+        let over = state.buf_gauges.iter().find(|(_, v)| **v >= BUFFER_HI);
+        if let Some((name, v)) = over {
+            let evidence = format!("{name} at {v} >= {BUFFER_HI}");
+            state.transition(alerts, party, Detector::BufferGrowth, true, now, evidence);
+        } else if state.buf_gauges.values().all(|v| *v <= BUFFER_LO) {
+            let evidence = format!("all buf.* gauges <= {BUFFER_LO}");
+            state.transition(alerts, party, Detector::BufferGrowth, false, now, evidence);
         }
     }
 
@@ -175,35 +249,21 @@ impl DetectorBank {
         if counter != counters::MEMPOOL_REJECTED_FULL || delta == 0 {
             return;
         }
-        self.register(party);
-        let cfg = self.cfg.clone();
-        let now = self.now;
-        let state = self.parties.get_mut(&party).expect("registered");
-        state.mempool_rejects.push_back((now, delta));
-        let cut = now.saturating_sub(cfg.mempool_window);
-        while state
-            .mempool_rejects
-            .front()
-            .is_some_and(|(at, _)| *at < cut)
-        {
-            state.mempool_rejects.pop_front();
-        }
-        let total: u64 = state.mempool_rejects.iter().map(|(_, d)| d).sum();
-        if total >= cfg.mempool_reject_fire {
+        let (now, alerts) = (self.now, &mut self.alerts);
+        let state = self.parties.entry(party).or_default();
+        state.mempool_rejects.push(now, delta);
+        let total = state.mempool_rejects.total();
+        if total >= MEMPOOL_REJECT_FIRE {
             let evidence = format!(
                 "{total} capacity rejections in {}us window",
-                cfg.mempool_window.0
+                MEMPOOL_WINDOW.0
             );
-            let round = Round(state.round);
-            Self::transition(
-                &mut self.alerts,
-                &cfg,
-                state,
+            state.transition(
+                alerts,
                 party,
                 Detector::MempoolCollapse,
                 true,
                 now,
-                round,
                 evidence,
             );
         }
@@ -211,54 +271,23 @@ impl DetectorBank {
 
     /// Consumes one party-tagged histogram sample.
     pub fn observe_histogram(&mut self, party: PartyId, metric: &'static str, value: u64) {
-        let cfg = self.cfg.clone();
-        let now = self.now;
         match metric {
-            counters::WAL_FSYNC_MICROS if value >= cfg.wal_fsync_slow_us => {
-                self.register(party);
-                let state = self.parties.get_mut(&party).expect("registered");
-                state.slow_fsyncs.push_back(now);
-                let cut = now.saturating_sub(cfg.wal_window);
-                while state.slow_fsyncs.front().is_some_and(|at| *at < cut) {
-                    state.slow_fsyncs.pop_front();
-                }
-                if state.slow_fsyncs.len() as u64 >= cfg.wal_fsync_fire {
-                    let evidence = format!(
-                        "{} fsyncs slower than {}us in window",
-                        state.slow_fsyncs.len(),
-                        cfg.wal_fsync_slow_us
-                    );
-                    let round = Round(state.round);
-                    Self::transition(
-                        &mut self.alerts,
-                        &cfg,
-                        state,
-                        party,
-                        Detector::WalDegradation,
-                        true,
-                        now,
-                        round,
-                        evidence,
-                    );
+            counters::WAL_FSYNC_MICROS if value >= WAL_FSYNC_SLOW_US => {
+                let (now, alerts) = (self.now, &mut self.alerts);
+                let state = self.parties.entry(party).or_default();
+                state.slow_fsyncs.push(now, 1);
+                let slow = state.slow_fsyncs.total();
+                if slow >= WAL_FSYNC_FIRE {
+                    let evidence =
+                        format!("{slow} fsyncs slower than {WAL_FSYNC_SLOW_US}us in window");
+                    state.transition(alerts, party, Detector::WalDegradation, true, now, evidence);
                 }
             }
-            counters::CHECKPOINT_BYTES if value >= cfg.checkpoint_bytes_hi => {
-                self.register(party);
-                let state = self.parties.get_mut(&party).expect("registered");
-                let evidence =
-                    format!("checkpoint of {value} bytes >= {}", cfg.checkpoint_bytes_hi);
-                let round = Round(state.round);
-                Self::transition(
-                    &mut self.alerts,
-                    &cfg,
-                    state,
-                    party,
-                    Detector::WalDegradation,
-                    true,
-                    now,
-                    round,
-                    evidence,
-                );
+            counters::CHECKPOINT_BYTES if value >= CHECKPOINT_BYTES_HI => {
+                let (now, alerts) = (self.now, &mut self.alerts);
+                let state = self.parties.entry(party).or_default();
+                let evidence = format!("checkpoint of {value} bytes >= {CHECKPOINT_BYTES_HI}");
+                state.transition(alerts, party, Detector::WalDegradation, true, now, evidence);
             }
             _ => {}
         }
@@ -274,76 +303,36 @@ impl DetectorBank {
     }
 
     fn on_round_entered(&mut self, party: PartyId, round: Round, at: Micros) {
-        self.register(party);
-        let cfg = self.cfg.clone();
-        self.parties.get_mut(&party).expect("registered").round = round.0;
+        let alerts = &mut self.alerts;
+        self.parties.entry(party).or_default().round = round.0;
         if round.0 > self.max_round {
             self.max_round = round.0;
             // The frontier moved: re-judge every party's skew.
             let max_round = self.max_round;
             for (&pid, state) in self.parties.iter_mut() {
-                let behind = max_round.saturating_sub(state.round);
-                let fire = behind >= cfg.skew_rounds;
+                let fire = max_round.saturating_sub(state.round) >= SKEW_ROUNDS;
                 let evidence = if fire {
                     format!("at round {} while cluster reached {max_round}", state.round)
                 } else {
                     format!("caught up to round {}", state.round)
                 };
-                let r = Round(state.round);
-                Self::transition(
-                    &mut self.alerts,
-                    &cfg,
-                    state,
-                    pid,
-                    Detector::RoundSkew,
-                    fire,
-                    at,
-                    r,
-                    evidence,
-                );
+                state.transition(alerts, pid, Detector::RoundSkew, fire, at, evidence);
             }
-        } else {
+        } else if self.max_round.saturating_sub(round.0) < SKEW_ROUNDS {
             // This party advanced within a known frontier: it may have just
             // caught back up.
-            let behind = self.max_round.saturating_sub(round.0);
-            if behind < cfg.skew_rounds {
-                let state = self.parties.get_mut(&party).expect("registered");
-                let evidence = format!("caught up to round {}", round.0);
-                Self::transition(
-                    &mut self.alerts,
-                    &cfg,
-                    state,
-                    party,
-                    Detector::RoundSkew,
-                    false,
-                    at,
-                    round,
-                    evidence,
-                );
-            }
+            let evidence = format!("caught up to round {}", round.0);
+            let state = self.parties.entry(party).or_default();
+            state.transition(alerts, party, Detector::RoundSkew, false, at, evidence);
         }
     }
 
     fn on_commit(&mut self, party: PartyId, sequence: u64, at: Micros) {
-        self.register(party);
-        let cfg = self.cfg.clone();
-        {
-            let state = self.parties.get_mut(&party).expect("registered");
-            state.last_commit_at = Some(at);
-            let round = Round(state.round);
-            let evidence = format!("committed seq {sequence}");
-            Self::transition(
-                &mut self.alerts,
-                &cfg,
-                state,
-                party,
-                Detector::CommitStall,
-                false,
-                at,
-                round,
-                evidence,
-            );
-        }
+        let alerts = &mut self.alerts;
+        let state = self.parties.entry(party).or_default();
+        state.last_commit_at = Some(at);
+        let evidence = format!("committed seq {sequence}");
+        state.transition(alerts, party, Detector::CommitStall, false, at, evidence);
         let advanced = self.frontier_at.map_or(true, |f| at > f);
         if advanced {
             self.frontier_at = Some(at);
@@ -354,64 +343,30 @@ impl DetectorBank {
     }
 
     fn on_pull_retry(&mut self, party: PartyId, round: Round, source: PartyId, at: Micros) {
-        self.register(party);
-        let cfg = self.cfg.clone();
-        let state = self.parties.get_mut(&party).expect("registered");
-        state.retries.push_back(at);
-        let cut = at.saturating_sub(cfg.retry_window);
-        while state.retries.front().is_some_and(|t| *t < cut) {
-            state.retries.pop_front();
-        }
-        if state.retries.len() as u64 >= cfg.retry_fire {
+        let alerts = &mut self.alerts;
+        let state = self.parties.entry(party).or_default();
+        state.retries.push(at, 1);
+        let retries = state.retries.total();
+        if retries >= RETRY_FIRE {
             let evidence = format!(
-                "{} pull retries in {}us window (latest for round {} from party {})",
-                state.retries.len(),
-                cfg.retry_window.0,
-                round.0,
-                source.0
+                "{retries} pull retries in {}us window (latest for round {} from party {})",
+                RETRY_WINDOW.0, round.0, source.0
             );
-            let r = Round(state.round);
-            Self::transition(
-                &mut self.alerts,
-                &cfg,
-                state,
-                party,
-                Detector::PullRetryStorm,
-                true,
-                at,
-                r,
-                evidence,
-            );
+            state.transition(alerts, party, Detector::PullRetryStorm, true, at, evidence);
         }
     }
 
     fn on_evidence(&mut self, culprit: PartyId, at: Micros) {
-        self.register(culprit);
-        let cfg = self.cfg.clone();
-        let state = self.parties.get_mut(&culprit).expect("registered");
-        state.evidence.push_back(at);
-        let cut = at.saturating_sub(cfg.evidence_window);
-        while state.evidence.front().is_some_and(|t| *t < cut) {
-            state.evidence.pop_front();
-        }
-        if state.evidence.len() as u64 >= cfg.evidence_fire {
+        let alerts = &mut self.alerts;
+        let state = self.parties.entry(culprit).or_default();
+        state.evidence.push(at, 1);
+        let records = state.evidence.total();
+        if records >= EVIDENCE_FIRE {
             let evidence = format!(
-                "{} evidence records in {}us window",
-                state.evidence.len(),
-                cfg.evidence_window.0
+                "{records} evidence records in {}us window",
+                EVIDENCE_WINDOW.0
             );
-            let r = Round(state.round);
-            Self::transition(
-                &mut self.alerts,
-                &cfg,
-                state,
-                culprit,
-                Detector::EvidenceSpike,
-                true,
-                at,
-                r,
-                evidence,
-            );
+            state.transition(alerts, culprit, Detector::EvidenceSpike, true, at, evidence);
         }
     }
 
@@ -422,31 +377,19 @@ impl DetectorBank {
     /// *others'* progress, so a quiescent run end (nobody committing) never
     /// fires.
     fn scan_stalls(&mut self, at: Micros) {
-        let cfg = self.cfg.clone();
         let Some(frontier) = self.frontier_at else {
             return;
         };
         let (started, frontier_seq) = (self.started_at.unwrap_or(Micros::ZERO), self.frontier_seq);
+        let alerts = &mut self.alerts;
         for (&pid, state) in self.parties.iter_mut() {
-            let last = state.last_commit_at.unwrap_or(started);
-            let lag = frontier.saturating_sub(last);
-            if lag > cfg.stall_after {
+            let lag = frontier.saturating_sub(state.last_commit_at.unwrap_or(started));
+            if lag > STALL_AFTER {
                 let evidence = format!(
                     "no commit for {}us behind cluster frontier (seq {frontier_seq})",
                     lag.0
                 );
-                let r = Round(state.round);
-                Self::transition(
-                    &mut self.alerts,
-                    &cfg,
-                    state,
-                    pid,
-                    Detector::CommitStall,
-                    true,
-                    at,
-                    r,
-                    evidence,
-                );
+                state.transition(alerts, pid, Detector::CommitStall, true, at, evidence);
             }
         }
     }
@@ -455,77 +398,30 @@ impl DetectorBank {
     /// condition has drained. Driven off commit-frontier advances and
     /// snapshots, which is frequent enough for prompt clears.
     fn sweep_windows(&mut self, at: Micros) {
-        let cfg = self.cfg.clone();
+        let alerts = &mut self.alerts;
         for (&pid, state) in self.parties.iter_mut() {
-            let cut = at.saturating_sub(cfg.retry_window);
-            while state.retries.front().is_some_and(|t| *t < cut) {
-                state.retries.pop_front();
+            state.retries.expire(at);
+            state.evidence.expire(at);
+            state.mempool_rejects.expire(at);
+            state.slow_fsyncs.expire(at);
+            // Clears are emitted in this order (retry, evidence, mempool,
+            // WAL); alert streams are pinned byte for byte.
+            let retries = state.retries.total();
+            if retries <= RETRY_CLEAR {
+                let evidence = format!("window drained to {retries} retries");
+                state.transition(alerts, pid, Detector::PullRetryStorm, false, at, evidence);
             }
-            let cut = at.saturating_sub(cfg.evidence_window);
-            while state.evidence.front().is_some_and(|t| *t < cut) {
-                state.evidence.pop_front();
+            if state.evidence.total() == 0 {
+                let evidence = "evidence window drained".to_string();
+                state.transition(alerts, pid, Detector::EvidenceSpike, false, at, evidence);
             }
-            let cut = at.saturating_sub(cfg.mempool_window);
-            while state.mempool_rejects.front().is_some_and(|(t, _)| *t < cut) {
-                state.mempool_rejects.pop_front();
+            if state.mempool_rejects.total() == 0 {
+                let evidence = "rejection window drained".to_string();
+                state.transition(alerts, pid, Detector::MempoolCollapse, false, at, evidence);
             }
-            let cut = at.saturating_sub(cfg.wal_window);
-            while state.slow_fsyncs.front().is_some_and(|t| *t < cut) {
-                state.slow_fsyncs.pop_front();
-            }
-            let r = Round(state.round);
-            if state.retries.len() as u64 <= cfg.retry_clear {
-                let evidence = format!("window drained to {} retries", state.retries.len());
-                Self::transition(
-                    &mut self.alerts,
-                    &cfg,
-                    state,
-                    pid,
-                    Detector::PullRetryStorm,
-                    false,
-                    at,
-                    r,
-                    evidence,
-                );
-            }
-            if state.evidence.is_empty() {
-                Self::transition(
-                    &mut self.alerts,
-                    &cfg,
-                    state,
-                    pid,
-                    Detector::EvidenceSpike,
-                    false,
-                    at,
-                    r,
-                    "evidence window drained".to_string(),
-                );
-            }
-            if state.mempool_rejects.is_empty() {
-                Self::transition(
-                    &mut self.alerts,
-                    &cfg,
-                    state,
-                    pid,
-                    Detector::MempoolCollapse,
-                    false,
-                    at,
-                    r,
-                    "rejection window drained".to_string(),
-                );
-            }
-            if state.slow_fsyncs.is_empty() {
-                Self::transition(
-                    &mut self.alerts,
-                    &cfg,
-                    state,
-                    pid,
-                    Detector::WalDegradation,
-                    false,
-                    at,
-                    r,
-                    "slow-fsync window drained".to_string(),
-                );
+            if state.slow_fsyncs.total() == 0 {
+                let evidence = "slow-fsync window drained".to_string();
+                state.transition(alerts, pid, Detector::WalDegradation, false, at, evidence);
             }
         }
     }
@@ -533,7 +429,7 @@ impl DetectorBank {
     fn maybe_snapshot(&mut self) {
         let due = match self.last_snapshot_at {
             None => true,
-            Some(last) => self.now >= last + self.cfg.snapshot_every,
+            Some(last) => self.now >= last + SNAPSHOT_EVERY,
         };
         if !due {
             return;
@@ -541,56 +437,11 @@ impl DetectorBank {
         self.last_snapshot_at = Some(self.now);
         self.sweep_windows(self.now);
         let snap = self.assess();
-        if self.snapshots.len() < self.cfg.snapshot_cap {
+        if self.snapshots.len() < SNAPSHOT_CAP {
             self.snapshots.push(snap);
         } else {
             self.snapshots_skipped += 1;
         }
-    }
-
-    /// One clear/fire transition with hysteresis and the rate cap applied.
-    #[allow(clippy::too_many_arguments)]
-    fn transition(
-        alerts: &mut Vec<Alert>,
-        cfg: &MonitorConfig,
-        state: &mut PartyState,
-        party: PartyId,
-        detector: Detector,
-        fire: bool,
-        at: Micros,
-        round: Round,
-        evidence: String,
-    ) {
-        let h = &mut state.hys[detector.index()];
-        if h.active == fire {
-            return;
-        }
-        h.active = fire;
-        if fire {
-            h.fires += 1;
-            if h.fires > cfg.rate_cap {
-                h.suppressed += 1;
-                h.suppressing = true;
-                return;
-            }
-        } else if h.suppressing {
-            h.suppressing = false;
-            h.suppressed += 1;
-            return;
-        }
-        alerts.push(Alert {
-            at,
-            detector,
-            kind: if fire {
-                AlertKind::Fire
-            } else {
-                AlertKind::Clear
-            },
-            severity: detector.severity(),
-            party,
-            round,
-            evidence,
-        });
     }
 
     // --- readout ------------------------------------------------------------
@@ -687,7 +538,7 @@ impl DetectorBank {
         }
     }
 
-    /// The periodic snapshot history (bounded by `snapshot_cap`).
+    /// The periodic snapshot history (bounded by [`SNAPSHOT_CAP`]).
     pub fn snapshots(&self) -> &[HealthSnapshot] {
         &self.snapshots
     }
@@ -714,7 +565,7 @@ mod tests {
     use super::*;
 
     fn bank() -> DetectorBank {
-        let mut b = DetectorBank::new(MonitorConfig::default());
+        let mut b = DetectorBank::new();
         for p in 0..4 {
             b.register(PartyId(p));
         }
@@ -909,18 +760,15 @@ mod tests {
 
     #[test]
     fn rate_cap_suppresses_flapping() {
-        let cfg = MonitorConfig {
-            rate_cap: 2,
-            evidence_window: Micros::from_millis(10),
-            ..MonitorConfig::default()
-        };
-        let mut b = DetectorBank::new(cfg);
+        let mut b = DetectorBank::new();
         b.register(PartyId(0));
-        // Alternate evidence bursts with long silences so the detector
-        // fires, clears, and fires again past the cap.
-        for burst in 0..5u64 {
+        // Alternate evidence bursts with silences longer than the evidence
+        // window so the detector fires, clears, and fires again past the
+        // cap.
+        let spacing = EVIDENCE_WINDOW.0 / 1_000 + 1_000;
+        for burst in 0..RATE_CAP + 3 {
             b.observe_event(&Stamped {
-                at: Micros::from_millis(burst * 1_000),
+                at: Micros::from_millis(burst * spacing),
                 party: PartyId(0),
                 event: Event::EvidenceRecorded {
                     kind: "double_vote".into(),
@@ -928,16 +776,17 @@ mod tests {
                     culprit: PartyId(0),
                 },
             });
-            // A later commit sweeps the window and clears.
-            commit(&mut b, 1, burst, burst * 1_000 + 500);
+            // A commit past the window sweeps it and clears.
+            commit(&mut b, 1, burst, burst * spacing + spacing - 500);
         }
         let fires = b
             .alerts()
             .iter()
             .filter(|a| a.kind == AlertKind::Fire && a.detector == Detector::EvidenceSpike)
             .count();
-        assert_eq!(fires, 2, "alerts: {:?}", b.alerts());
-        assert!(b.suppressed() > 0);
+        assert_eq!(fires as u64, RATE_CAP, "alerts: {:?}", b.alerts());
+        // Three fires past the cap, each with its clear.
+        assert_eq!(b.suppressed(), 6);
     }
 
     #[test]

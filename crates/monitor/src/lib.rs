@@ -35,12 +35,10 @@
 //! [`Telemetry::tee_with`]: clanbft_telemetry::Telemetry::tee_with
 
 pub mod alert;
-pub mod config;
 pub mod detect;
 pub mod health;
 
 pub use alert::{Alert, AlertKind, Detector, Severity, DETECTOR_COUNT};
-pub use config::MonitorConfig;
 pub use detect::DetectorBank;
 pub use health::{prometheus_exposition, HealthSnapshot, Verdict};
 
@@ -66,15 +64,15 @@ pub struct HealthMonitor {
 
 impl Default for HealthMonitor {
     fn default() -> HealthMonitor {
-        HealthMonitor::new(MonitorConfig::default())
+        HealthMonitor::new()
     }
 }
 
 impl HealthMonitor {
-    /// A fresh monitor with the given thresholds.
-    pub fn new(cfg: MonitorConfig) -> HealthMonitor {
+    /// A fresh monitor.
+    pub fn new() -> HealthMonitor {
         HealthMonitor {
-            bank: Arc::new(Mutex::new(DetectorBank::new(cfg))),
+            bank: Arc::new(Mutex::new(DetectorBank::new())),
         }
     }
 
@@ -213,8 +211,8 @@ impl Recorder for Observer {
 /// are not part of the event log, so buffer-growth, mempool-collapse and
 /// WAL-degradation verdicts are online-only. The bank is settled (windows
 /// expired, tail clears emitted) before being returned.
-pub fn replay_events(events: &[Stamped], parties: u32, cfg: MonitorConfig) -> DetectorBank {
-    let mut bank = DetectorBank::new(cfg);
+pub fn replay_events(events: &[Stamped], parties: u32) -> DetectorBank {
+    let mut bank = DetectorBank::new();
     for p in 0..parties {
         bank.register(PartyId(p));
     }
@@ -300,7 +298,7 @@ mod tests {
             })
             .collect();
         // Party 3 never commits: replay must fire its stall.
-        let bank = replay_events(&events, 4, MonitorConfig::default());
+        let bank = replay_events(&events, 4);
         assert!(bank.is_active(Detector::CommitStall, PartyId(3)));
         let online = HealthMonitor::default();
         online.expect_parties(4);

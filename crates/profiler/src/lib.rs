@@ -20,8 +20,9 @@
 //!   install it.
 //! * [`Report`] — the drained tree: per-path calls, total/self
 //!   nanoseconds, allocation counters; exported as flamegraph
-//!   collapsed-stack lines (`a;b;c 1234`) or as NDJSON for
-//!   `clanbft-inspect profile`, which renders the tables.
+//!   collapsed-stack lines (`a;b;c 1234`). Its NDJSON form, which
+//!   `clanbft-inspect profile` renders as tables, is owned by
+//!   `clanbft_telemetry::perf`.
 //!
 //! Cost discipline: a scope on a *disabled* profiler is one relaxed atomic
 //! load and a `None` guard — no clock read, no thread-local access — so the

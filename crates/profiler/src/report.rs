@@ -1,4 +1,5 @@
-//! Drained profile data and its export formats.
+//! Drained profile data and its collapsed-stack export (the NDJSON form
+//! is `clanbft_telemetry::perf`).
 
 /// One scope path's accumulated statistics.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,7 +27,7 @@ pub struct ScopeStat {
 }
 
 /// A drained scope tree in depth-first discovery order.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Report {
     /// Per-path statistics; parents precede children.
     pub scopes: Vec<ScopeStat>,
@@ -49,33 +50,9 @@ impl Report {
         out
     }
 
-    /// NDJSON export: one `{"prof":"meta",...}` header line, then one
-    /// `{"prof":"scope",...}` line per path. `clanbft-inspect profile`
-    /// consumes this format.
-    pub fn to_ndjson(&self, label: &str) -> String {
-        let total_ns: u64 = self.scopes.iter().map(|s| s.self_ns).sum();
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"prof\":\"meta\",\"label\":\"{}\",\"scopes\":{},\"total_self_ns\":{}}}\n",
-            escape(label),
-            self.scopes.len(),
-            total_ns,
-        ));
-        for s in &self.scopes {
-            out.push_str(&format!(
-                "{{\"prof\":\"scope\",\"path\":\"{}\",\"name\":\"{}\",\"depth\":{},\"calls\":{},\"total_ns\":{},\"self_ns\":{},\"allocs\":{},\"alloc_bytes\":{},\"peak_bytes\":{}}}\n",
-                escape(&s.path),
-                escape(&s.name),
-                s.depth,
-                s.calls,
-                s.total_ns,
-                s.self_ns,
-                s.alloc_count,
-                s.alloc_bytes,
-                s.peak_bytes,
-            ));
-        }
-        out
+    /// Sum of self time across all scopes — the profiled wall total.
+    pub fn total_self_ns(&self) -> u64 {
+        self.scopes.iter().map(|s| s.self_ns).sum()
     }
 
     /// `(path, calls)` pairs in report order — the deterministic shape of a
@@ -87,23 +64,4 @@ impl Report {
             .map(|s| (s.path.clone(), s.calls))
             .collect()
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars) for
-/// the hand-rolled NDJSON writer; scope names are simple identifiers so
-/// this is belt-and-braces.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }

@@ -189,31 +189,6 @@ fn collapsed_export_is_flamegraph_shaped() {
 }
 
 #[test]
-fn ndjson_export_has_meta_then_scopes() {
-    let report = profiled(|| {
-        let _a = prof::scope("ndjson.check");
-    });
-    let ndjson = report.to_ndjson("unit \"quoted\" label");
-    let lines: Vec<&str> = ndjson.lines().collect();
-    assert_eq!(lines.len(), 1 + report.scopes.len());
-    assert!(lines[0].starts_with("{\"prof\":\"meta\""));
-    assert!(lines[0].contains("\\\"quoted\\\""), "label must be escaped");
-    assert!(lines[1].starts_with("{\"prof\":\"scope\""));
-    assert!(lines[1].contains("\"path\":\"ndjson.check\""));
-    for key in [
-        "\"calls\":",
-        "\"total_ns\":",
-        "\"self_ns\":",
-        "\"allocs\":",
-        "\"alloc_bytes\":",
-        "\"peak_bytes\":",
-        "\"depth\":",
-    ] {
-        assert!(lines[1].contains(key), "missing {key} in {}", lines[1]);
-    }
-}
-
-#[test]
 fn counts_expose_paths_and_calls_in_report_order() {
     let report = profiled(|| {
         for _ in 0..5 {

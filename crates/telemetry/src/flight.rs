@@ -1,36 +1,19 @@
-//! The flight recorder: a bounded black box for post-mortem dumps.
+//! The black-box dump: what were the last moments before the crash?
 //!
-//! [`MemRecorder`](crate::MemRecorder) keeps the (capped) full event log
-//! for offline analysis; the flight recorder answers a different question —
-//! *what were the last moments before the crash?* It holds only a small
-//! ring of the newest events, running counters, the latest value of every
-//! gauge, and a bounded log of recent gauge samples (the PR-3 bounded
-//! buffers: round-window occupancy, echo-digest counts, pending pulls,
-//! evidence backlog). The whole snapshot renders as NDJSON in one call, so
-//! it can be written out when a safety check trips.
+//! [`MemRecorder::snapshot_ndjson`] renders the recorder's running
+//! counters, the latest value of every gauge, its bounded log of recent
+//! gauge samples (the bounded buffers: round-window occupancy, echo-digest
+//! counts, pending pulls, evidence backlog) and the newest events. This
+//! module writes that snapshot out.
 //!
 //! Safety violations in this workspace are `assert!`s, i.e. panics:
 //! [`install_panic_dump`] hooks the panic handler to write the snapshot to
 //! `CLANBFT_DUMP` (or `clanbft-flight.ndjson`) before unwinding, and
-//! [`FlightRecorder::dump_if_requested`] writes the same snapshot at the
-//! end of a healthy run when `CLANBFT_DUMP` is set.
-//!
-//! Typically installed alongside a [`MemRecorder`](crate::MemRecorder)
-//! through a [`TeeRecorder`](crate::recorder::TeeRecorder) so the black
-//! box costs nothing extra at the instrumentation points.
+//! [`MemRecorder::dump_if_requested`] writes the same snapshot at the end
+//! of a healthy run when `CLANBFT_DUMP` is set.
 
-use crate::event::{Event, Stamped};
-use crate::ndjson::JsonObj;
-use crate::recorder::Recorder;
-use clanbft_types::{Micros, PartyId};
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Mutex};
-
-/// Default ring size: enough to cover several rounds of a mid-size tribe.
-pub const DEFAULT_RING_CAP: usize = 4_096;
-
-/// Default bound on the gauge-sample log.
-pub const DEFAULT_GAUGE_LOG_CAP: usize = 1_024;
+use crate::recorder::MemRecorder;
+use std::sync::Arc;
 
 /// Environment variable naming the dump file.
 pub const DUMP_ENV: &str = "CLANBFT_DUMP";
@@ -38,109 +21,7 @@ pub const DUMP_ENV: &str = "CLANBFT_DUMP";
 /// Fallback dump path when [`DUMP_ENV`] is unset at panic time.
 pub const DEFAULT_DUMP_PATH: &str = "clanbft-flight.ndjson";
 
-#[derive(Default)]
-struct FlightInner {
-    ring: VecDeque<Stamped>,
-    dropped: u64,
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, u64>,
-    gauge_log: VecDeque<(Micros, &'static str, u64)>,
-    /// Timestamp of the newest event, used to stamp gauge samples (the
-    /// `Recorder::gauge` call itself carries no clock).
-    last_at: Micros,
-}
-
-/// Bounded black-box recorder (see module docs).
-pub struct FlightRecorder {
-    inner: Mutex<FlightInner>,
-    ring_cap: usize,
-    gauge_log_cap: usize,
-}
-
-impl Default for FlightRecorder {
-    fn default() -> FlightRecorder {
-        FlightRecorder::new()
-    }
-}
-
-impl FlightRecorder {
-    /// A recorder with the default ring and gauge-log bounds.
-    pub fn new() -> FlightRecorder {
-        FlightRecorder::with_capacity(DEFAULT_RING_CAP, DEFAULT_GAUGE_LOG_CAP)
-    }
-
-    /// A recorder with explicit bounds (each clamped to at least 1).
-    pub fn with_capacity(ring_cap: usize, gauge_log_cap: usize) -> FlightRecorder {
-        FlightRecorder {
-            inner: Mutex::default(),
-            ring_cap: ring_cap.max(1),
-            gauge_log_cap: gauge_log_cap.max(1),
-        }
-    }
-
-    /// Events currently held in the ring.
-    pub fn ring_len(&self) -> usize {
-        self.inner.lock().expect("flight lock").ring.len()
-    }
-
-    /// Events evicted from the ring so far.
-    pub fn dropped_events(&self) -> u64 {
-        self.inner.lock().expect("flight lock").dropped
-    }
-
-    /// Renders the whole black box as NDJSON: a header line, one line per
-    /// counter, per latest gauge value and per retained gauge sample, then
-    /// the ring events oldest-first (each in the standard trace format).
-    pub fn snapshot_ndjson(&self) -> String {
-        let inner = self.inner.lock().expect("flight lock");
-        let mut out = String::new();
-        out.push_str(
-            &JsonObj::new()
-                .str("flight", "header")
-                .u64("events_retained", inner.ring.len() as u64)
-                .u64("events_dropped", inner.dropped)
-                .u64("last_at", inner.last_at.0)
-                .finish(),
-        );
-        out.push('\n');
-        for (name, value) in &inner.counters {
-            out.push_str(
-                &JsonObj::new()
-                    .str("flight", "counter")
-                    .str("name", name)
-                    .u64("value", *value)
-                    .finish(),
-            );
-            out.push('\n');
-        }
-        for (name, value) in &inner.gauges {
-            out.push_str(
-                &JsonObj::new()
-                    .str("flight", "gauge")
-                    .str("name", name)
-                    .u64("value", *value)
-                    .finish(),
-            );
-            out.push('\n');
-        }
-        for (at, name, value) in &inner.gauge_log {
-            out.push_str(
-                &JsonObj::new()
-                    .str("flight", "gauge_sample")
-                    .u64("at", at.0)
-                    .str("name", name)
-                    .u64("value", *value)
-                    .finish(),
-            );
-            out.push('\n');
-        }
-        for ev in &inner.ring {
-            out.push_str(&ev.to_ndjson());
-            out.push('\n');
-        }
-        out
-    }
-
+impl MemRecorder {
     /// Writes the snapshot to `path`. Errors are returned, not panicked on
     /// — this runs inside panic handlers.
     pub fn dump_to(&self, path: &str) -> std::io::Result<()> {
@@ -164,51 +45,15 @@ impl FlightRecorder {
     }
 }
 
-impl Recorder for FlightRecorder {
-    fn record(&self, _metric: &'static str, _value: u64) {
-        // Histograms are MemRecorder territory; the black box stays small.
-    }
-
-    fn add(&self, counter: &'static str, delta: u64) {
-        *self
-            .inner
-            .lock()
-            .expect("flight lock")
-            .counters
-            .entry(counter)
-            .or_insert(0) += delta;
-    }
-
-    fn gauge(&self, gauge: &'static str, value: u64) {
-        let mut inner = self.inner.lock().expect("flight lock");
-        inner.gauges.insert(gauge, value);
-        if inner.gauge_log.len() >= self.gauge_log_cap {
-            inner.gauge_log.pop_front();
-        }
-        let at = inner.last_at;
-        inner.gauge_log.push_back((at, gauge, value));
-    }
-
-    fn event(&self, at: Micros, party: PartyId, event: Event) {
-        let mut inner = self.inner.lock().expect("flight lock");
-        inner.last_at = at;
-        if inner.ring.len() >= self.ring_cap {
-            inner.ring.pop_front();
-            inner.dropped += 1;
-        }
-        inner.ring.push_back(Stamped { at, party, event });
-    }
-}
-
-/// Chains a panic hook that dumps `flight`'s snapshot to `$CLANBFT_DUMP`
-/// (or [`DEFAULT_DUMP_PATH`]) before the previous hook runs, so any
+/// Chains a panic hook that dumps `rec`'s snapshot to `$CLANBFT_DUMP` (or
+/// [`DEFAULT_DUMP_PATH`]) before the previous hook runs, so any
 /// safety-check failure (they are asserts) leaves a black box behind.
-pub fn install_panic_dump(flight: Arc<FlightRecorder>) {
+pub fn install_panic_dump(rec: Arc<MemRecorder>) {
     let previous = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
         let path = std::env::var(DUMP_ENV).unwrap_or_else(|_| DEFAULT_DUMP_PATH.to_string());
         if !path.is_empty() {
-            match flight.dump_to(&path) {
+            match rec.dump_to(&path) {
                 Ok(()) => eprintln!("flight recorder: black box written to {path}"),
                 Err(e) => eprintln!("flight recorder: failed to write {path}: {e}"),
             }
@@ -220,49 +65,58 @@ pub fn install_panic_dump(flight: Arc<FlightRecorder>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clanbft_types::Round;
+    use crate::event::Event;
+    use crate::recorder::{Recorder, GAUGE_LOG_CAP, SNAPSHOT_EVENTS};
+    use clanbft_types::{Micros, PartyId, Round};
 
-    fn round_entered(at: u64, party: u32, round: u64) -> (Micros, PartyId, Event) {
-        (
+    fn enter(rec: &MemRecorder, at: u64, party: u32, round: u64) {
+        rec.event(
             Micros(at),
             PartyId(party),
             Event::RoundEntered {
                 round: Round(round),
             },
-        )
+        );
     }
 
     #[test]
     fn ring_keeps_the_newest_suffix() {
-        let f = FlightRecorder::with_capacity(2, 8);
-        for i in 0..5u64 {
-            let (at, p, ev) = round_entered(i, 0, i + 1);
-            f.event(at, p, ev);
+        // The ring evicts 2 events and the snapshot shows only the newest
+        // SNAPSHOT_EVENTS of the rest: rounds 1-3 are gone.
+        let rec = MemRecorder::with_capacity(SNAPSHOT_EVENTS + 1);
+        let total = SNAPSHOT_EVENTS as u64 + 3;
+        for i in 0..total {
+            enter(&rec, i, 0, i + 1);
         }
-        assert_eq!(f.ring_len(), 2);
-        assert_eq!(f.dropped_events(), 3);
-        let snap = f.snapshot_ndjson();
-        assert!(snap.contains(r#""flight":"header","events_retained":2,"events_dropped":3"#));
-        // Oldest retained is round 4; rounds 1-3 were evicted.
-        assert!(snap.contains(r#""round":4"#));
-        assert!(!snap.contains(r#""round":3"#));
+        let snap = rec.snapshot_ndjson();
+        let header = format!(
+            r#"{{"flight":"header","events_retained":{SNAPSHOT_EVENTS},"events_dropped":3,"last_at":{}}}"#,
+            total - 1
+        );
+        assert_eq!(snap.lines().next(), Some(header.as_str()));
+        let mut events = snap.lines().filter(|l| l.contains(r#""ev":"#));
+        assert_eq!(
+            events.next(),
+            Some(r#"{"at":3,"party":0,"ev":"round_entered","round":4}"#)
+        );
+        assert_eq!(events.count(), SNAPSHOT_EVENTS - 1);
     }
 
     #[test]
     fn gauges_are_sampled_with_the_event_clock() {
-        let f = FlightRecorder::with_capacity(8, 2);
-        let (at, p, ev) = round_entered(100, 1, 1);
-        f.event(at, p, ev);
-        f.gauge("buf.rbc.instances", 3);
-        let (at, p, ev) = round_entered(200, 1, 2);
-        f.event(at, p, ev);
-        f.gauge("buf.rbc.instances", 5);
-        f.gauge("buf.dag.pending", 1);
-        f.add("pull.retries", 2);
-        let snap = f.snapshot_ndjson();
+        let rec = MemRecorder::new();
+        enter(&rec, 100, 1, 1);
+        rec.gauge("buf.rbc.instances", 3);
+        enter(&rec, 200, 1, 2);
+        rec.gauge("buf.rbc.instances", 5);
+        for _ in 1..GAUGE_LOG_CAP {
+            rec.gauge("buf.dag.pending", 1);
+        }
+        rec.add("pull.retries", 2);
+        let snap = rec.snapshot_ndjson();
         // Latest gauge values.
         assert!(snap.contains(r#""flight":"gauge","name":"buf.rbc.instances","value":5"#));
-        // The sample log is bounded at 2: the first sample was evicted.
+        // The sample log is bounded: the first sample was evicted.
         assert!(!snap
             .contains(r#""flight":"gauge_sample","at":100,"name":"buf.rbc.instances","value":3"#));
         assert!(snap
@@ -272,15 +126,14 @@ mod tests {
 
     #[test]
     fn dump_to_writes_the_snapshot() {
-        let f = FlightRecorder::new();
-        let (at, p, ev) = round_entered(7, 2, 9);
-        f.event(at, p, ev);
+        let rec = MemRecorder::new();
+        enter(&rec, 7, 2, 9);
         let dir = std::env::temp_dir();
         let path = dir.join("clanbft-flight-test.ndjson");
         let path = path.to_str().expect("utf8 temp path");
-        f.dump_to(path).expect("dump writes");
+        rec.dump_to(path).expect("dump writes");
         let written = std::fs::read_to_string(path).expect("dump readable");
-        assert_eq!(written, f.snapshot_ndjson());
+        assert_eq!(written, rec.snapshot_ndjson());
         let _ = std::fs::remove_file(path);
     }
 }

@@ -21,6 +21,8 @@
 //! * [`ndjson`] — a hand-rolled flat-JSON writer ([`JsonObj`]) and the
 //!   reader that accepts exactly what it writes ([`parse_obj`]), matching
 //!   the `codec.rs` philosophy: deterministic, dependency-free.
+//! * [`perf`] — the profile file: a `clanbft_profiler::Report` as NDJSON,
+//!   written by [`encode_profile`] and read by [`decode_profiles`].
 //! * [`trace`] — the merged-trace file: the [`RunMeta`] line plus events,
 //!   decoded into a [`Trace`]. Unknown event labels are a counted skip; a
 //!   known label with a missing field is an error.
@@ -30,8 +32,8 @@
 //! * [`span`] — causal commit spans: one block's lifecycle
 //!   (`Proposed → Echoed → Certified → Ordered → Committed`) reconstructed
 //!   across all parties from a merged trace.
-//! * [`flight`] — the bounded flight recorder (black box): newest-events
-//!   ring plus gauge samples, dumped on panic or `CLANBFT_DUMP`.
+//! * [`flight`] — the black-box dump: a [`MemRecorder`]'s newest events,
+//!   counters and gauge samples, written on panic or `CLANBFT_DUMP`.
 //!
 //! [`Micros`]: clanbft_types::Micros
 //! [`PartyId`]: clanbft_types::PartyId
@@ -41,15 +43,17 @@ pub mod event;
 pub mod flight;
 pub mod hist;
 pub mod ndjson;
+pub mod perf;
 pub mod recorder;
 pub mod span;
 pub mod stage;
 pub mod trace;
 
 pub use event::{Event, RbcPhase, Stamped};
-pub use flight::{install_panic_dump, FlightRecorder};
+pub use flight::install_panic_dump;
 pub use hist::Histogram;
 pub use ndjson::{parse_obj, Fields, JsonObj, Value};
+pub use perf::{decode_profile, decode_profiles, encode_profile, Profile};
 pub use recorder::{mempool_summary, MemRecorder, NullRecorder, Recorder, TeeRecorder, Telemetry};
 pub use span::{Span, SpanSet, Stage};
 pub use stage::{stage_breakdown, StageBreakdown, StageStats};

@@ -11,6 +11,7 @@
 use crate::counters;
 use crate::event::{Event, Stamped};
 use crate::hist::Histogram;
+use crate::ndjson::JsonObj;
 use clanbft_types::{Micros, PartyId};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -46,19 +47,35 @@ impl Recorder for NullRecorder {
     fn event(&self, _at: Micros, _party: PartyId, _event: Event) {}
 }
 
+/// Bound on [`MemRecorder`]'s log of recent gauge samples.
+pub const GAUGE_LOG_CAP: usize = 1_024;
+
+/// Newest events a [`MemRecorder::snapshot_ndjson`] black box holds:
+/// enough to cover several rounds of a mid-size tribe.
+pub const SNAPSHOT_EVENTS: usize = 4_096;
+
 #[derive(Default)]
 struct MemInner {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, u64>,
     histograms: BTreeMap<&'static str, Histogram>,
     events: VecDeque<Stamped>,
+    /// The newest [`GAUGE_LOG_CAP`] gauge samples, stamped with
+    /// `last_at`.
+    gauge_log: VecDeque<(Micros, &'static str, u64)>,
+    /// Stamp of the newest event (a `Recorder::gauge` call carries no
+    /// clock of its own).
+    last_at: Micros,
 }
 
-/// In-memory recorder: counters, gauges, histograms and the event log.
+/// In-memory recorder: counters, gauges, histograms, the event log and a
+/// bounded log of recent gauge samples.
 ///
 /// The event log is a ring: once `event_cap` events are held, each new
 /// event evicts the oldest one and ticks [`counters::EVENTS_DROPPED`], so
-/// the retained log is always the newest suffix of the run.
+/// the retained log is always the newest suffix of the run. Its
+/// [`snapshot_ndjson`](MemRecorder::snapshot_ndjson) is the black box
+/// [`crate::flight`] dumps on panic or on request.
 pub struct MemRecorder {
     inner: Mutex<MemInner>,
     event_cap: usize,
@@ -161,6 +178,45 @@ impl MemRecorder {
         }
         out
     }
+
+    /// Renders the black box as NDJSON: a header line, one line per
+    /// counter, per latest gauge value and per logged gauge sample, then
+    /// the newest [`SNAPSHOT_EVENTS`] events oldest-first (each in the
+    /// standard trace format, so the dump parses as a trace). Framing
+    /// lines carry a `"flight"` key, which trace readers count as skips.
+    pub fn snapshot_ndjson(&self) -> String {
+        let inner = self.inner.lock().expect("telemetry lock");
+        let shown = inner.events.len().min(SNAPSHOT_EVENTS);
+        let skipped = inner.events.len() - shown;
+        let dropped = inner.counters.get(counters::EVENTS_DROPPED).unwrap_or(&0);
+        let mut lines = vec![JsonObj::new()
+            .str("flight", "header")
+            .u64("events_retained", shown as u64)
+            .u64("events_dropped", dropped + skipped as u64)
+            .u64("last_at", inner.last_at.0)
+            .finish()];
+        for (kind, map) in [("counter", &inner.counters), ("gauge", &inner.gauges)] {
+            lines.extend(map.iter().map(|(name, value)| {
+                JsonObj::new()
+                    .str("flight", kind)
+                    .str("name", name)
+                    .u64("value", *value)
+                    .finish()
+            }));
+        }
+        lines.extend(inner.gauge_log.iter().map(|(at, name, value)| {
+            JsonObj::new()
+                .str("flight", "gauge_sample")
+                .u64("at", at.0)
+                .str("name", name)
+                .u64("value", *value)
+                .finish()
+        }));
+        lines.extend(inner.events.range(skipped..).map(Stamped::to_ndjson));
+        let mut out = lines.join("\n");
+        out.push('\n');
+        out
+    }
 }
 
 impl Recorder for MemRecorder {
@@ -185,15 +241,18 @@ impl Recorder for MemRecorder {
     }
 
     fn gauge(&self, gauge: &'static str, value: u64) {
-        self.inner
-            .lock()
-            .expect("telemetry lock")
-            .gauges
-            .insert(gauge, value);
+        let mut inner = self.inner.lock().expect("telemetry lock");
+        inner.gauges.insert(gauge, value);
+        if inner.gauge_log.len() >= GAUGE_LOG_CAP {
+            inner.gauge_log.pop_front();
+        }
+        let at = inner.last_at;
+        inner.gauge_log.push_back((at, gauge, value));
     }
 
     fn event(&self, at: Micros, party: PartyId, event: Event) {
         let mut inner = self.inner.lock().expect("telemetry lock");
+        inner.last_at = at;
         if inner.events.len() >= self.event_cap {
             inner.events.pop_front();
             *inner.counters.entry(counters::EVENTS_DROPPED).or_insert(0) += 1;
@@ -202,8 +261,8 @@ impl Recorder for MemRecorder {
     }
 }
 
-/// Fans every call out to two recorders (e.g. a [`MemRecorder`] for full
-/// readout plus a [`crate::flight::FlightRecorder`] for crash dumps).
+/// Fans every call out to two recorders (e.g. a [`MemRecorder`] plus a
+/// live health-monitor probe).
 pub struct TeeRecorder {
     a: Arc<dyn Recorder>,
     b: Arc<dyn Recorder>,

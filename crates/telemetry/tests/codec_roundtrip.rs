@@ -1,8 +1,14 @@
-//! Round-trip properties of the trace codec: every event the writer can
-//! emit decodes back to the same value and re-encodes to the same bytes,
-//! and the flat-object reader reads back exactly what `JsonObj` writes.
+//! Round-trip properties of the trace and profile codecs: every event the
+//! writer can emit decodes back to the same value and re-encodes to the
+//! same bytes, as does every profile, a recorder's black-box dump reads
+//! back as a trace, and the flat-object reader reads back exactly what
+//! `JsonObj` writes.
 
-use clanbft_telemetry::{parse_obj, Event, JsonObj, RbcPhase, Stamped, Value};
+use clanbft_profiler::{Report, ScopeStat};
+use clanbft_telemetry::{
+    decode_profile, encode_profile, parse_obj, Event, JsonObj, MemRecorder, Profile, RbcPhase,
+    Recorder, Stamped, Trace, Value,
+};
 use clanbft_testkit::{check, tk_assert, tk_assert_eq, Gen};
 use clanbft_types::{Micros, PartyId, Round};
 use std::collections::BTreeSet;
@@ -329,4 +335,61 @@ fn unknown_labels_are_skipped_and_drop_kinds_survive() {
     let s = decode_line(dropped).expect("decodes").expect("known label");
     assert!(matches!(&s.event, Event::MsgDropped { kind, .. } if kind == "sm.vote"));
     assert_eq!(s.to_ndjson(), dropped);
+}
+
+fn arbitrary_report(g: &mut Gen) -> Report {
+    Report {
+        scopes: g.vec(0, 6, |g| ScopeStat {
+            path: arbitrary_string(g),
+            name: arbitrary_string(g),
+            depth: g.usize_in(0, 64),
+            calls: g.u64(),
+            total_ns: g.u64(),
+            self_ns: g.u64_in(0, u64::MAX / 8),
+            alloc_count: g.u64(),
+            alloc_bytes: g.u64(),
+            peak_bytes: g.u64(),
+        }),
+    }
+}
+
+#[test]
+fn profile_roundtrips() {
+    check(
+        "profile_roundtrip",
+        128,
+        |g| {
+            let label = format!("unit \"quoted\" {}", arbitrary_string(g));
+            (arbitrary_report(g), label)
+        },
+        |(report, label)| {
+            let text = encode_profile(report, label);
+            let back = decode_profile(&text)?;
+            tk_assert_eq!(
+                &back,
+                &Profile {
+                    label: label.clone(),
+                    report: report.clone(),
+                }
+            );
+            tk_assert_eq!(encode_profile(&back.report, &back.label), text);
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn flight_dump_parses_as_a_trace() {
+    let rec = MemRecorder::new();
+    let mut g = Gen::for_case(11, 0);
+    for variant in 0..VARIANTS {
+        let s = arbitrary_stamped(&mut g, variant);
+        rec.event(s.at, s.party, s.event);
+        rec.gauge("buf.dag.pending", variant as u64);
+    }
+    rec.add("pull.retries", 3);
+    let trace = Trace::parse(&rec.snapshot_ndjson()).expect("dump parses");
+    assert_eq!(trace.events, rec.events());
+    // Header, one counter, one latest gauge and one sample per event.
+    assert_eq!(trace.skipped, 3 + VARIANTS as u64);
 }

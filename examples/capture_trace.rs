@@ -11,17 +11,14 @@
 //! run, and the benign→withhold diff (the verdict names the pull-retry
 //! machinery — exactly how victims of withholding recover).
 //!
-//! Each run also tees its events into a [`FlightRecorder`] black box with a
-//! panic-hook dump, so a crash mid-run leaves `clanbft-flight.ndjson` (or
-//! `$CLANBFT_DUMP`) behind for post-mortem — the workflow EXPERIMENTS.md
-//! documents.
+//! Each run's recorder is also the black box of a panic-hook dump, so a
+//! crash mid-run leaves `clanbft-flight.ndjson` (or `$CLANBFT_DUMP`) behind
+//! for post-mortem — the workflow EXPERIMENTS.md documents.
 
 use clanbft_adversary::Attack;
 use clanbft_inspect::{check_report, diff, incident_report, waterfall};
 use clanbft_sim::{build_tribe, export_trace, tribe::elect_clan, TribeSpec};
-use clanbft_telemetry::{
-    install_panic_dump, FlightRecorder, MemRecorder, Recorder, TeeRecorder, Telemetry, Trace,
-};
+use clanbft_telemetry::{install_panic_dump, Telemetry, Trace};
 use clanbft_types::{Micros, PartyId};
 use std::sync::Arc;
 
@@ -47,19 +44,14 @@ fn spec(byzantine: Vec<(PartyId, Attack)>, telemetry: Telemetry) -> TribeSpec {
 
 /// Runs one tribe to quiescence and returns its merged trace text.
 fn run(byzantine: Vec<(PartyId, Attack)>) -> String {
-    let mem = Arc::new(MemRecorder::new());
-    let flight = Arc::new(FlightRecorder::new());
-    install_panic_dump(Arc::clone(&flight));
-    let tee = TeeRecorder::new(
-        Arc::clone(&mem) as Arc<dyn Recorder>,
-        Arc::clone(&flight) as Arc<dyn Recorder>,
-    );
-    let spec = spec(byzantine, Telemetry::with_recorder(Arc::new(tee)));
+    let (telemetry, mem) = Telemetry::mem();
+    install_panic_dump(Arc::clone(&mem));
+    let spec = spec(byzantine, telemetry);
     let mut built = build_tribe(&spec);
     built.sim.run_until(Micros::from_secs(120));
     // Honour `CLANBFT_DUMP` even on clean exits: the black box is most
     // useful when the interesting run is the one that *didn't* crash too.
-    if let Some(path) = flight.dump_if_requested() {
+    if let Some(path) = mem.dump_if_requested() {
         println!("flight recorder dumped to {path}");
     }
     export_trace(&spec, &mem)

@@ -35,7 +35,7 @@
 
 use clanbft_profiler as prof;
 use clanbft_sim::{ExperimentSpec, Proto, RunMetrics};
-use clanbft_telemetry::{parse_obj, JsonObj};
+use clanbft_telemetry::{encode_profile, parse_obj, JsonObj};
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -246,8 +246,14 @@ fn main() {
         let path = format!("{out_dir}/{name}");
         std::fs::write(&path, content).unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
     };
-    write("profile_a.ndjson", &report_a.to_ndjson("perf_smoke/a"));
-    write("profile_b.ndjson", &report_b.to_ndjson("perf_smoke/b"));
+    write(
+        "profile_a.ndjson",
+        &encode_profile(&report_a, "perf_smoke/a"),
+    );
+    write(
+        "profile_b.ndjson",
+        &encode_profile(&report_b, "perf_smoke/b"),
+    );
     write("profile_a.collapsed", &report_a.to_collapsed());
     let summary = JsonObj::new()
         .str("bench", "perf_smoke")

@@ -53,9 +53,11 @@ echo "== inspect gate (post-mortem toolchain over live traces)"
 # files through the clanbft-inspect binary: `check` fails on any
 # incomplete span or unattributed evidence, and the diff between the runs
 # must name the pull-retry machinery as the attack's dominant signature.
+# CLANBFT_DUMP also makes each run write its recorder's black box there.
 TRACES=target/ci-traces
 rm -rf "$TRACES"
-cargo run --release --offline -p clanbft-sim --example capture_trace -- "$TRACES" > /dev/null
+CLANBFT_DUMP="$TRACES/flight.ndjson" \
+    cargo run --release --offline -p clanbft-sim --example capture_trace -- "$TRACES" > /dev/null
 INSPECT=target/release/clanbft-inspect
 cargo build --release --offline -p clanbft-inspect
 "$INSPECT" --check "$TRACES/benign.ndjson"
@@ -69,6 +71,9 @@ fi
 # on a real trace (their exact shape is pinned by unit/golden tests).
 test -n "$("$INSPECT" waterfall "$TRACES/benign.ndjson" | head -1)"
 test -n "$("$INSPECT" dot "$TRACES/benign.ndjson" --rounds 1..3 | head -1)"
+# The black-box dump (last run's) must exist and read back as a trace.
+test -s "$TRACES/flight.ndjson"
+test -n "$("$INSPECT" waterfall "$TRACES/flight.ndjson" | head -1)"
 
 echo "== load-generation smoke (>=100k closed-loop client txs, exactly-once)"
 # loadgen_smoke runs a 4-party closed-loop workload, audits in-process that

@@ -5,6 +5,7 @@
 use clanbft_monitor::{AlertKind, Detector, HealthMonitor, Verdict};
 use clanbft_sim::{build_tribe, TribeSpec};
 use clanbft_simnet::net::Partition;
+use clanbft_telemetry::{counters, Event, Telemetry};
 use clanbft_types::{Micros, PartyId, Round, VertexRef};
 
 fn order_of(node: &clanbft_consensus::SailfishNode) -> Vec<VertexRef> {
@@ -430,10 +431,20 @@ fn long_outage_recovers_via_state_transfer() {
     spec.catchup_rounds = 8;
     spec.crashes = vec![(PartyId(3), Micros::from_millis(800))];
     spec.restarts = vec![(PartyId(3), Micros::from_secs(20))];
+    let (telemetry, rec) = Telemetry::mem();
+    spec.telemetry = telemetry;
     let mut built = build_tribe(&spec);
     built.sim.run_until(Micros::from_secs(600));
     let all: Vec<PartyId> = (0..4u32).map(PartyId).collect();
     assert_seq_agreement(&built, &all);
+    // Commits adopted through the transfer tick the commit counter like
+    // direct ones: one tick per `VertexCommitted` event.
+    let committed = rec
+        .events()
+        .iter()
+        .filter(|s| matches!(s.event, Event::VertexCommitted { .. }))
+        .count() as u64;
+    assert_eq!(rec.counter(counters::COMMIT_VERTICES), committed);
     let node3 = built.sim.node(PartyId(3));
     assert!(node3.recovered());
     assert!(
