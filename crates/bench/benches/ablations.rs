@@ -137,7 +137,6 @@ fn strawman_measured_ablation() {
                     } else {
                         0
                     },
-                    tx_bytes: 512,
                     telemetry: clanbft_telemetry::Telemetry::null(),
                 },
                 auth,

@@ -1,11 +1,14 @@
 //! Node configuration for the three protocol variants.
 
-use clanbft_mempool::{MempoolConfig, SizerConfig, WorkloadSpec};
+use clanbft_mempool::WorkloadSpec;
 use clanbft_rbc::ClanTopology;
 use clanbft_simnet::cost::CostModel;
 use clanbft_telemetry::Telemetry;
 use clanbft_types::{Micros, PartyId, TribeParams};
 use std::sync::Arc;
+
+/// Transaction size in bytes: the paper's 512 B, used by every proposer.
+pub const TX_BYTES: u32 = 512;
 
 /// Per-node configuration.
 #[derive(Clone)]
@@ -28,16 +31,10 @@ pub struct NodeConfig {
     /// Synthetic transactions per proposal (0 = propose empty blocks).
     /// Ignored when `workload` is set.
     pub txs_per_proposal: u32,
-    /// Synthetic transaction size in bytes (the paper uses 512).
-    pub tx_bytes: u32,
     /// Client workload driving this proposer's ingress. `None` falls back
     /// to the historical synthetic model parameterised by
     /// `txs_per_proposal`.
     pub workload: Option<WorkloadSpec>,
-    /// Bounds of the proposer's mempool (ignored by non-proposers).
-    pub mempool: MempoolConfig,
-    /// Dynamic batch-sizer tuning (ignored by the synthetic workload).
-    pub sizer: SizerConfig,
     /// Whether this party proposes non-empty blocks. Under single-clan only
     /// clan members do; under the other variants everybody does.
     pub is_block_proposer: bool,
@@ -49,9 +46,6 @@ pub struct NodeConfig {
     /// Garbage-collect DAG/RBC state this many rounds behind the commit
     /// frontier (`None` = never).
     pub gc_depth: Option<u64>,
-    /// Accept messages at most this many rounds ahead of the local round —
-    /// the bound on pending buffers a Byzantine flooder can fill.
-    pub round_window: u64,
     /// Base deadline for re-requesting a certified-but-missing payload; each
     /// retry backs off exponentially and rotates to fresh peers.
     pub pull_retry: Micros,
@@ -60,12 +54,6 @@ pub struct NodeConfig {
     /// Durable storage directory for the WAL + checkpoints. `None` (the
     /// default) runs the node memory-only: it cannot survive a restart.
     pub storage_dir: Option<std::path::PathBuf>,
-    /// Whether WAL appends fsync before the write is considered durable.
-    /// Tests that only exercise logical recovery may turn this off.
-    pub fsync: bool,
-    /// Install a checkpoint (and rotate the WAL) every this many committed
-    /// leader sequences.
-    pub checkpoint_interval: u64,
     /// How far behind the tribe's observed round frontier this party may
     /// fall before requesting a peer state transfer after a restart.
     pub catchup_rounds: u64,
@@ -91,20 +79,14 @@ impl NodeConfig {
             timeout: Micros::from_millis(2_000),
             max_round: None,
             txs_per_proposal: 0,
-            tx_bytes: 512,
             workload: None,
-            mempool: MempoolConfig::default(),
-            sizer: SizerConfig::default(),
             is_block_proposer: true,
             verify_sigs: true,
             execute: false,
             gc_depth: Some(16),
-            round_window: 256,
             pull_retry: Micros::from_millis(500),
             telemetry: Telemetry::null(),
             storage_dir: None,
-            fsync: true,
-            checkpoint_interval: 8,
             catchup_rounds: 8,
             epoch_length: None,
             rotation_miss_k: 4,

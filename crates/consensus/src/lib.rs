@@ -33,7 +33,7 @@ pub mod schedule;
 pub mod strawman;
 pub mod trackers;
 
-pub use config::NodeConfig;
+pub use config::{NodeConfig, TX_BYTES};
 pub use execution::{ExecutionReceipt, Executor};
 pub use messages::ConsensusMsg;
 pub use node::{CommittedVertex, SailfishNode};

@@ -20,7 +20,7 @@
 //! Block payloads trail metadata by design: ordering and progress never
 //! wait for block downloads (paper §5); execution does.
 
-use crate::config::NodeConfig;
+use crate::config::{NodeConfig, TX_BYTES};
 use crate::execution::Executor;
 use crate::messages::{vote_digest, ConsensusMsg};
 use crate::payload::MergedPayload;
@@ -28,7 +28,8 @@ use crate::schedule::LeaderSchedule;
 use crate::trackers::{TimeoutTracker, VoteOutcome, VoteTracker};
 use clanbft_crypto::{Authenticator, Digest};
 use clanbft_dag::{order, Dag, InsertOutcome};
-use clanbft_mempool::{plan_batches, ClientIngress, WorkloadSpec};
+use clanbft_mempool::{plan_batches, ClientIngress, MempoolConfig, SizerConfig, WorkloadSpec};
+use clanbft_rbc::engine::{EVIDENCE_CAP, ROUND_WINDOW};
 use clanbft_rbc::{parse_retry_token, Effects, EngineConfig, RbcEvent, TribePayload, TribeRbc2};
 use clanbft_simnet::protocol::{Ctx, Protocol};
 use clanbft_telemetry::{counters, Event};
@@ -68,10 +69,6 @@ pub struct ProposedBatch {
     pub count: u32,
 }
 
-/// At most this many evidence records are retained per node — enough for
-/// any audit while bounding what an equivocation storm can allocate.
-pub(crate) const EVIDENCE_CAP: usize = 256;
-
 /// The Sailfish / single-clan / multi-clan node.
 ///
 /// Fields are `pub(crate)` where the recovery layer ([`crate::recovery`])
@@ -95,14 +92,12 @@ pub struct SailfishNode {
     /// Certificates assembled from 2f+1 timeout announcements.
     pub(crate) certs_formed: HashMap<Round, (TimeoutCert, NoVoteCert)>,
 
-    /// Misbehaviour proof records observed by this node (capped).
-    pub(crate) evidence: Vec<Evidence>,
+    /// Misbehaviour proof records observed by this node (capped); kept by
+    /// [`SailfishNode::keep_evidence`] alone.
+    evidence: Vec<Evidence>,
     /// `(round, culprit)` pairs already evidenced — one record per pair.
-    pub(crate) evidence_keys: HashSet<(Round, PartyId)>,
+    evidence_keys: HashSet<(Round, PartyId)>,
 
-    /// Vertices validated and accepted (pre- or post-DAG-liveness), with
-    /// their content ids cached (vertex hashing is hot at scale).
-    pub(crate) accepted: HashMap<VertexRef, (Arc<Vertex>, Digest)>,
     /// Full blocks held (clan member for the proposer, or own proposals).
     pub(crate) blocks: HashMap<VertexRef, Arc<Block>>,
     /// Live vertices that arrived after their round passed — weak-edge
@@ -157,6 +152,30 @@ pub struct SailfishNode {
     pub(crate) recovered: bool,
 }
 
+/// The client ingress fronting a proposer's proposals, or `None` for the
+/// empty synthetic workload. The workload defaults to the historical
+/// synthetic model so `txs_per_proposal` callers keep their behaviour.
+pub(crate) fn client_ingress(cfg: &NodeConfig) -> Option<ClientIngress> {
+    let workload = cfg.workload.unwrap_or(WorkloadSpec::Synthetic {
+        txs_per_proposal: cfg.txs_per_proposal,
+    });
+    if let WorkloadSpec::Synthetic {
+        txs_per_proposal: 0,
+    } = workload
+    {
+        return None;
+    }
+    Some(ClientIngress::new(
+        workload,
+        TX_BYTES,
+        MempoolConfig::default(),
+        SizerConfig::default(),
+        // Per-node arrival randomness, derived from the shared seed.
+        cfg.schedule_seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(cfg.me.idx() as u64 + 1),
+        cfg.telemetry.clone(),
+    ))
+}
+
 /// Cap on `TxBatch` runs per block: pulled transactions are coalesced by
 /// arrival stamp, and arbitrarily fragmented stamps are merged down to this
 /// many batches (earliest stamp wins, so measured latency only gets more
@@ -168,32 +187,11 @@ impl SailfishNode {
     pub fn new(cfg: NodeConfig, auth: Arc<Authenticator>) -> SailfishNode {
         let mut engine_cfg = EngineConfig::new(cfg.me, Arc::clone(&cfg.topology), cfg.cost);
         engine_cfg.telemetry = cfg.telemetry.clone();
-        engine_cfg.round_window = cfg.round_window;
         engine_cfg.pull_retry = cfg.pull_retry;
         let rbc =
             TribeRbc2::new(engine_cfg, Arc::clone(&auth)).with_sig_verification(cfg.verify_sigs);
-        // Proposers front their proposals with a client ingress; the
-        // workload defaults to the historical synthetic model so existing
-        // `txs_per_proposal` callers keep their behaviour.
-        let workload = cfg.workload.unwrap_or(WorkloadSpec::Synthetic {
-            txs_per_proposal: cfg.txs_per_proposal,
-        });
-        let ingress = if cfg.is_block_proposer
-            && !matches!(
-                workload,
-                WorkloadSpec::Synthetic {
-                    txs_per_proposal: 0
-                }
-            ) {
-            Some(ClientIngress::new(
-                workload,
-                cfg.tx_bytes,
-                cfg.mempool,
-                cfg.sizer,
-                // Per-node arrival randomness, derived from the shared seed.
-                cfg.schedule_seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(cfg.me.idx() as u64 + 1),
-                cfg.telemetry.clone(),
-            ))
+        let ingress = if cfg.is_block_proposer {
+            client_ingress(&cfg)
         } else {
             None
         };
@@ -211,7 +209,6 @@ impl SailfishNode {
             certs_formed: HashMap::new(),
             evidence: Vec::new(),
             evidence_keys: HashSet::new(),
-            accepted: HashMap::new(),
             blocks: HashMap::new(),
             late_arrivals: BTreeSet::new(),
             last_committed: None,
@@ -240,12 +237,9 @@ impl SailfishNode {
             cfg,
         };
         if let Some(dir) = node.cfg.storage_dir.clone() {
-            let (storage, recovered) = clanbft_storage::NodeStorage::open(
-                &dir,
-                node.cfg.fsync,
-                node.cfg.telemetry.clone(),
-            )
-            .expect("node storage must open");
+            let (storage, recovered) =
+                clanbft_storage::NodeStorage::open(&dir, node.cfg.telemetry.clone())
+                    .expect("node storage must open");
             node.storage = Some(storage);
             node.rebuild_from(recovered);
         }
@@ -310,10 +304,26 @@ impl SailfishNode {
         &self.evidence
     }
 
-    /// Records locally-detected misbehaviour: once per `(round, culprit)`,
-    /// counted, traced and retained up to [`EVIDENCE_CAP`].
-    fn record_evidence(&mut self, ev: Evidence, now: Micros) {
+    /// The one keeper of evidence: a record per `(round, culprit)`, at most
+    /// [`EVIDENCE_CAP`] retained, each appended to the WAL unless it is
+    /// being replayed from there. Returns whether the pair was new.
+    pub(crate) fn keep_evidence(&mut self, ev: Evidence, replaying: bool) -> bool {
         if !self.evidence_keys.insert((ev.round(), ev.culprit())) {
+            return false;
+        }
+        if self.evidence.len() < EVIDENCE_CAP {
+            if !replaying && self.storage.is_some() {
+                self.log_wal(&clanbft_storage::WalRecord::Evidence { evidence: ev });
+            }
+            self.evidence.push(ev);
+        }
+        true
+    }
+
+    /// Records locally-detected misbehaviour: kept once per
+    /// `(round, culprit)`, and counted and traced when new.
+    fn record_evidence(&mut self, ev: Evidence, now: Micros) {
+        if !self.keep_evidence(ev, false) {
             return;
         }
         self.cfg.telemetry.add(counters::EVIDENCE_RECORDED, 1);
@@ -327,31 +337,12 @@ impl SailfishNode {
                 culprit: ev.culprit(),
             },
         );
-        if self.evidence.len() < EVIDENCE_CAP {
-            if self.storage.is_some() {
-                self.log_wal(&clanbft_storage::WalRecord::Evidence { evidence: ev });
-            }
-            self.evidence.push(ev);
-        }
-    }
-
-    /// Pulls evidence the RBC engine recorded (it already counted and traced
-    /// it) into this node's record.
-    fn absorb_rbc_evidence(&mut self) {
-        for ev in self.rbc.take_evidence() {
-            if self.evidence_keys.insert((ev.round(), ev.culprit()))
-                && self.evidence.len() < EVIDENCE_CAP
-            {
-                self.evidence.push(ev);
-            }
-        }
     }
 
     /// Round-window admission for direct consensus messages: discard what is
     /// behind the GC horizon or further ahead than the bounded buffers allow.
     fn admit_round(&mut self, round: Round) -> bool {
-        if round < self.dag.horizon()
-            || round.0 > self.current_round.0.saturating_add(self.cfg.round_window)
+        if round < self.dag.horizon() || round.0 > self.current_round.0.saturating_add(ROUND_WINDOW)
         {
             self.cfg.telemetry.add(counters::REJECTED_BUFFER_FULL, 1);
             return false;
@@ -516,7 +507,7 @@ impl SailfishNode {
     ) {
         let _prof = clanbft_profiler::scope("consensus.process_vertex");
         let vref = vertex.reference();
-        if self.accepted.contains_key(&vref) || vref.round < self.dag.horizon() {
+        if self.dag.knows(&vref) {
             return;
         }
         if !self.validate_vertex(&vertex, fx) {
@@ -528,8 +519,6 @@ impl SailfishNode {
                 .db_reads(vertex.strong_edges.len() + vertex.weak_edges.len()),
         );
         fx.charge(self.cfg.cost.db_write());
-        let id = vertex.id();
-        self.accepted.insert(vref, (Arc::clone(&vertex), id));
         if self.storage.is_some() {
             self.log_wal(&clanbft_storage::WalRecord::Accepted {
                 vertex: (*vertex).clone(),
@@ -557,6 +546,7 @@ impl SailfishNode {
                     leader: vref.source,
                 },
             );
+            let id = vertex.id();
             let sig = self.auth.sign_digest(&vote_digest(round, &id));
             out.push(ConsensusMsg::Vote {
                 round,
@@ -565,7 +555,7 @@ impl SailfishNode {
             });
         }
 
-        match self.dag.insert((*vertex).clone()) {
+        match self.dag.insert(vertex) {
             InsertOutcome::Live(new_live) => {
                 if self.cfg.telemetry.enabled() {
                     let pending = self.dag.pending_count() as u64;
@@ -671,13 +661,10 @@ impl SailfishNode {
             return;
         }
         let leader_ref = self.schedule.leader_vertex(round);
-        if self.dag.get(&leader_ref).is_none() {
-            return;
-        }
-        let Some((_, id)) = self.accepted.get(&leader_ref) else {
+        let Some(leader) = self.dag.get(&leader_ref) else {
             return;
         };
-        if self.votes.count(round, id) < self.cfg.tribe.quorum() {
+        if self.votes.count(round, &leader.id()) < self.cfg.tribe.quorum() {
             return;
         }
         // Direct commit: resolve the indirect chain and emit the order.
@@ -794,7 +781,6 @@ impl SailfishNode {
         self.rbc.prune_below(horizon);
         self.votes.prune_below(horizon);
         self.timeouts.prune_below(horizon);
-        self.accepted.retain(|r, _| r.round >= horizon);
         self.blocks.retain(|r, _| r.round >= horizon);
         self.late_arrivals.retain(|r| r.round >= horizon);
         self.certs_formed.retain(|r, _| *r >= horizon);
@@ -921,7 +907,10 @@ impl SailfishNode {
                 ctx.multicast(self.cfg.tribe.parties(), msg);
             }
         }
-        self.absorb_rbc_evidence();
+        // The RBC engine already counted and traced its evidence.
+        for ev in self.rbc.take_evidence() {
+            self.keep_evidence(ev, false);
+        }
         self.try_advance(ctx);
     }
 
@@ -1112,9 +1101,7 @@ impl Protocol<ConsensusMsg> for SailfishNode {
         if round != self.current_round {
             return; // Stale timer; the round already advanced.
         }
-        let leader_delivered = self
-            .accepted
-            .contains_key(&self.schedule.leader_vertex(round));
+        let leader_delivered = self.dag.knows(&self.schedule.leader_vertex(round));
         if leader_delivered || self.voted.contains(&round) || self.no_voted.contains(&round) {
             return;
         }

@@ -28,11 +28,10 @@
 //!    loses its seat without the pipeline ever stopping.
 
 use crate::messages::{CommittedRec, ConsensusMsg};
-use crate::node::{CommittedVertex, SailfishNode, EVIDENCE_CAP};
+use crate::node::{client_ingress, CommittedVertex, SailfishNode};
 use crate::payload::MergedPayload;
 use clanbft_committee::rotate_single_clan;
 use clanbft_crypto::Digest;
-use clanbft_mempool::{ClientIngress, WorkloadSpec};
 use clanbft_rbc::{ClanTopology, Effects};
 use clanbft_simnet::protocol::{Ctx, Message};
 use clanbft_storage::{Checkpoint, EpochEntry, Recovered, WalRecord};
@@ -45,6 +44,9 @@ use std::sync::Arc;
 const STATE_CHUNK_VERTICES: usize = 32;
 /// Committed-order entries per state-transfer chunk.
 const STATE_CHUNK_COMMITS: usize = 256;
+/// Install a checkpoint (and rotate the WAL) every this many committed
+/// leader rounds.
+const CHECKPOINT_INTERVAL: u64 = 8;
 
 /// Client-side bookkeeping of one post-restart state transfer.
 ///
@@ -140,7 +142,7 @@ impl SailfishNode {
             self.dag.prune_below(min);
         }
         for v in vertices {
-            self.insert_silent(Arc::new(v));
+            self.dag.insert(v);
         }
         for r in cp.ordered {
             self.dag.mark_ordered(r);
@@ -169,7 +171,7 @@ impl SailfishNode {
                 self.current_round = self.current_round.max(round);
             }
             WalRecord::Accepted { vertex } => {
-                self.insert_silent(Arc::new(vertex));
+                self.dag.insert(vertex);
             }
             WalRecord::Committed {
                 sequence,
@@ -190,13 +192,7 @@ impl SailfishNode {
                 self.committed_round_by[idx] = self.committed_round_by[idx].max(vertex.round.0 + 1);
             }
             WalRecord::Evidence { evidence } => {
-                if self
-                    .evidence_keys
-                    .insert((evidence.round(), evidence.culprit()))
-                    && self.evidence.len() < EVIDENCE_CAP
-                {
-                    self.evidence.push(evidence);
-                }
+                self.keep_evidence(evidence, true);
             }
             WalRecord::EpochDecided {
                 epoch,
@@ -210,19 +206,6 @@ impl SailfishNode {
                 });
             }
         }
-    }
-
-    /// Inserts an already-validated vertex without voting, telemetry or
-    /// weak-edge tracking — the silent path shared by checkpoint restore,
-    /// WAL replay and state transfer.
-    fn insert_silent(&mut self, vertex: Arc<Vertex>) {
-        let vref = vertex.reference();
-        if self.accepted.contains_key(&vref) || vref.round < self.dag.horizon() {
-            return;
-        }
-        let id = vertex.id();
-        self.accepted.insert(vref, (Arc::clone(&vertex), id));
-        self.dag.insert((*vertex).clone());
     }
 
     /// Installs a decided epoch's topology into the RBC engine and records
@@ -349,12 +332,7 @@ impl SailfishNode {
             .dag
             .live_vertices_from(from_round)
             .into_iter()
-            .map(|v| {
-                self.accepted
-                    .get(&v.reference())
-                    .map(|(arc, _)| Arc::clone(arc))
-                    .unwrap_or_else(|| Arc::new(v.clone()))
-            })
+            .cloned()
             .collect();
         let committed: Vec<CommittedRec> = self
             .committed_log
@@ -506,9 +484,9 @@ impl SailfishNode {
                 self.rbc.prune_below(floor);
             }
         }
+        // Silent inserts: no vote, no telemetry, no weak-edge tracking.
         for v in vs {
-            let vref = v.reference();
-            if self.accepted.contains_key(&vref) || vref.round < self.dag.horizon() {
+            if self.dag.knows(&v.reference()) {
                 continue;
             }
             if self.storage.is_some() {
@@ -516,7 +494,7 @@ impl SailfishNode {
                     vertex: (*v).clone(),
                 });
             }
-            self.insert_silent(v);
+            self.dag.insert(v);
         }
 
         // 3. If the fast-forward pruned past our stranded round, enter the
@@ -603,7 +581,7 @@ impl SailfishNode {
     // --- checkpoints --------------------------------------------------------
 
     /// Installs a checkpoint (and rotates the WAL) once the commit frontier
-    /// moved `checkpoint_interval` leader rounds past the previous one.
+    /// moved [`CHECKPOINT_INTERVAL`] leader rounds past the previous one.
     pub(crate) fn maybe_checkpoint(&mut self) {
         if self.storage.is_none() {
             return;
@@ -611,7 +589,7 @@ impl SailfishNode {
         let Some(lc) = self.last_committed else {
             return;
         };
-        if lc.0 < self.last_checkpoint_round + self.cfg.checkpoint_interval {
+        if lc.0 < self.last_checkpoint_round + CHECKPOINT_INTERVAL {
             return;
         }
         self.last_checkpoint_round = lc.0;
@@ -622,7 +600,7 @@ impl SailfishNode {
             .dag
             .live_vertices_from(horizon)
             .into_iter()
-            .cloned()
+            .map(|v| Vertex::clone(v))
             .collect();
         let ordered: Vec<VertexRef> = vertices
             .iter()
@@ -766,29 +744,11 @@ impl SailfishNode {
     /// mirroring the constructor's wiring. Arrivals start now — a fresh
     /// seat does not inherit a backlog it never advertised capacity for.
     pub(crate) fn ensure_ingress(&mut self, now: Micros) {
-        if self.ingress.is_some() {
-            return;
-        }
-        let workload = self.cfg.workload.unwrap_or(WorkloadSpec::Synthetic {
-            txs_per_proposal: self.cfg.txs_per_proposal,
-        });
-        if matches!(
-            workload,
-            WorkloadSpec::Synthetic {
-                txs_per_proposal: 0
+        if self.ingress.is_none() {
+            self.ingress = client_ingress(&self.cfg);
+            if self.ingress.is_some() {
+                self.last_proposal_at = now;
             }
-        ) {
-            return;
         }
-        self.ingress = Some(ClientIngress::new(
-            workload,
-            self.cfg.tx_bytes,
-            self.cfg.mempool,
-            self.cfg.sizer,
-            self.cfg.schedule_seed
-                ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(self.cfg.me.idx() as u64 + 1),
-            self.cfg.telemetry.clone(),
-        ));
-        self.last_proposal_at = now;
     }
 }

@@ -22,6 +22,7 @@
 //! sole purpose is the latency ablation — see
 //! `crates/bench/benches/ablations.rs`.
 
+use crate::config::TX_BYTES;
 use clanbft_crypto::{AggregateSignature, Authenticator, Digest, Hasher, Signature};
 use clanbft_rbc::ClanTopology;
 use clanbft_simnet::protocol::{Ctx, Message, Protocol};
@@ -167,8 +168,6 @@ pub struct StrawmanConfig {
     pub max_slots: u64,
     /// Transactions per disseminated block (0 = this party only sequences).
     pub txs_per_block: u32,
-    /// Transaction size in bytes.
-    pub tx_bytes: u32,
     /// Telemetry sink (disabled by default).
     pub telemetry: Telemetry,
 }
@@ -239,7 +238,7 @@ impl StrawmanNode {
             self.cfg.me,
             self.next_seq,
             self.cfg.txs_per_block,
-            self.cfg.tx_bytes,
+            TX_BYTES,
             created_at,
         );
         let block = Arc::new(Block::new(self.cfg.me, Round(self.next_seq), vec![batch]));
@@ -553,7 +552,6 @@ mod tests {
                         } else {
                             0
                         },
-                        tx_bytes: 512,
                         telemetry: Telemetry::null(),
                     },
                     auth,

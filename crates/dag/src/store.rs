@@ -2,6 +2,7 @@
 
 use clanbft_types::{PartyId, Round, TribeParams, Vertex, VertexRef};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 /// Result of offering a vertex to the store.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -15,13 +16,15 @@ pub enum InsertOutcome {
     Duplicate,
 }
 
-/// The DAG of delivered vertices at one party.
+/// The DAG of delivered vertices at one party — the party's only vertex
+/// store. It holds the same `Arc`s the broadcast layer delivered, so a
+/// vertex is never copied on its way in.
 pub struct Dag {
     tribe: TribeParams,
     /// Live vertices, keyed by round then source.
-    rounds: BTreeMap<Round, HashMap<PartyId, Vertex>>,
+    rounds: BTreeMap<Round, HashMap<PartyId, Arc<Vertex>>>,
     /// Vertices waiting for missing ancestors.
-    pending: HashMap<VertexRef, Vertex>,
+    pending: HashMap<VertexRef, Arc<Vertex>>,
     /// Reverse dependency index: missing ref → pending vertices waiting on it.
     waiting_on: HashMap<VertexRef, Vec<VertexRef>>,
     /// Vertices already emitted into the total order.
@@ -61,7 +64,10 @@ impl Dag {
 
     /// The live vertex for `(round, source)`, if any.
     pub fn get(&self, r: &VertexRef) -> Option<&Vertex> {
-        self.rounds.get(&r.round).and_then(|m| m.get(&r.source))
+        self.rounds
+            .get(&r.round)
+            .and_then(|m| m.get(&r.source))
+            .map(Arc::as_ref)
     }
 
     /// True iff a live vertex exists for `r` (or `r` is below the horizon,
@@ -70,12 +76,18 @@ impl Dag {
         r.round < self.horizon || self.get(r).is_some()
     }
 
+    /// True iff `r` was already offered: live, pending, or below the
+    /// horizon. A known vertex needs no validation, logging or insertion.
+    pub fn knows(&self, r: &VertexRef) -> bool {
+        self.contains(r) || self.pending.contains_key(r)
+    }
+
     /// Live vertices of `round`, in source order.
     pub fn round_vertices(&self, round: Round) -> Vec<&Vertex> {
         let mut vs: Vec<&Vertex> = self
             .rounds
             .get(&round)
-            .map(|m| m.values().collect())
+            .map(|m| m.values().map(Arc::as_ref).collect())
             .unwrap_or_default();
         vs.sort_by_key(|v| v.source);
         vs
@@ -92,15 +104,10 @@ impl Dag {
         self.rounds.len()
     }
 
-    /// Total live vertices retained across all rounds.
-    pub fn live_count(&self) -> usize {
-        self.rounds.values().map(HashMap::len).sum()
-    }
-
     /// All live vertices from `from` on, in `(round, source)` order — the
     /// material a checkpoint or a state-transfer response ships.
-    pub fn live_vertices_from(&self, from: Round) -> Vec<&Vertex> {
-        let mut out: Vec<&Vertex> = self
+    pub fn live_vertices_from(&self, from: Round) -> Vec<&Arc<Vertex>> {
+        let mut out: Vec<&Arc<Vertex>> = self
             .rounds
             .range(from..)
             .flat_map(|(_, m)| m.values())
@@ -119,10 +126,11 @@ impl Dag {
     /// Offers a delivered vertex. Returns which vertices became live (the
     /// offered one plus any pending descendants it unblocked), or whether it
     /// was buffered / a duplicate.
-    pub fn insert(&mut self, vertex: Vertex) -> InsertOutcome {
+    pub fn insert(&mut self, vertex: impl Into<Arc<Vertex>>) -> InsertOutcome {
         let _prof = clanbft_profiler::scope("dag.insert");
+        let vertex = vertex.into();
         let vref = vertex.reference();
-        if self.contains(&vref) || self.pending.contains_key(&vref) {
+        if self.knows(&vref) {
             return InsertOutcome::Duplicate;
         }
         if let Some(missing) = self.first_missing_parent(&vertex) {
@@ -155,7 +163,7 @@ impl Dag {
         InsertOutcome::Live(live)
     }
 
-    fn make_live(&mut self, vertex: Vertex, live: &mut Vec<VertexRef>) {
+    fn make_live(&mut self, vertex: Arc<Vertex>, live: &mut Vec<VertexRef>) {
         let vref = vertex.reference();
         self.rounds
             .entry(vref.round)

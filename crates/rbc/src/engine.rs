@@ -25,6 +25,12 @@ pub const MAX_DIGESTS_PER_INSTANCE: usize = 4;
 /// Evidence records retained per engine (telemetry still counts overflow).
 pub const EVIDENCE_CAP: usize = 256;
 
+/// Rounds above the round hint that are still admitted; any packet further
+/// in the future is rejected (`rejected.buffer_full`) so a Byzantine peer
+/// cannot allocate unbounded buffers. The consensus layer applies the same
+/// window to its direct messages.
+pub const ROUND_WINDOW: u64 = 256;
+
 /// High bit marking a timer token as an RBC pull-retry deadline. The
 /// consensus layer uses plain round numbers as timer tokens, so the two
 /// namespaces stay disjoint as long as rounds never reach 2^63.
@@ -379,10 +385,6 @@ pub struct EngineConfig {
     pub cost: CostModel,
     /// Telemetry sink for RBC phase events (disabled by default).
     pub telemetry: Telemetry,
-    /// Rounds above the engine's round hint that are still admitted; any
-    /// packet further in the future is rejected (`rejected.buffer_full`)
-    /// so a Byzantine peer cannot allocate unbounded instances.
-    pub round_window: u64,
     /// Base pull-retry deadline; doubles per attempt (capped) while a
     /// needed payload/meta view is outstanding.
     pub pull_retry: Micros,
@@ -398,7 +400,6 @@ impl EngineConfig {
             epochs: Vec::new(),
             cost,
             telemetry: Telemetry::null(),
-            round_window: 256,
             pull_retry: Micros::from_millis(500),
         }
     }
@@ -466,7 +467,7 @@ pub(crate) struct Core<P: TribePayload> {
     pub horizon: Round,
     /// Highest round this party knows to be legitimately active (own
     /// broadcasts, certifications, consensus round advances). The
-    /// admission window extends `cfg.round_window` beyond it.
+    /// admission window extends [`ROUND_WINDOW`] beyond it.
     pub round_hint: Round,
     /// Recorded Byzantine conflicts, drained by the node layer.
     pub evidence: Vec<Evidence>,
@@ -487,8 +488,7 @@ impl<P: TribePayload> Core<P> {
     /// prune horizon (stale/replayed) and rounds beyond the bounded
     /// buffering window (far-future flooding). Counted, never silent.
     pub(crate) fn admit(&mut self, round: Round) -> bool {
-        if round < self.horizon || round.0 > self.round_hint.0.saturating_add(self.cfg.round_window)
-        {
+        if round < self.horizon || round.0 > self.round_hint.0.saturating_add(ROUND_WINDOW) {
             self.cfg.telemetry.add(counters::REJECTED_BUFFER_FULL, 1);
             return false;
         }

@@ -26,8 +26,6 @@ pub struct TribeSpec {
     /// Synthetic transactions per proposal (paper x-axis). Ignored when
     /// `workload` is set.
     pub txs_per_proposal: u32,
-    /// Transaction size in bytes (512 in the paper).
-    pub tx_bytes: u32,
     /// Client workload every proposer's ingress runs. `None` keeps the
     /// historical synthetic model parameterised by `txs_per_proposal`.
     pub workload: Option<WorkloadSpec>,
@@ -56,10 +54,6 @@ pub struct TribeSpec {
     /// Root directory for per-node durable storage (`node-<i>/` under it).
     /// `None` runs every node memory-only.
     pub storage_root: Option<std::path::PathBuf>,
-    /// Whether WAL appends fsync (logical-recovery tests may turn this off).
-    pub fsync: bool,
-    /// Checkpoint every this many committed leader rounds.
-    pub checkpoint_interval: u64,
     /// Post-restart state-transfer window (rounds behind the local frontier).
     pub catchup_rounds: u64,
     /// Rounds per epoch for clan rotation (`None` = never rotate).
@@ -81,8 +75,6 @@ pub struct TribeSpec {
     pub verify_sigs: bool,
     /// Enable the execution layer.
     pub execute: bool,
-    /// Place all nodes in one region (isolates CPU/bandwidth effects).
-    pub single_region: bool,
     /// Telemetry sink shared by the network and every node (disabled by
     /// default; see `clanbft_telemetry`).
     pub telemetry: Telemetry,
@@ -100,7 +92,6 @@ impl TribeSpec {
             n,
             clans: None,
             txs_per_proposal: 250,
-            tx_bytes: 512,
             workload: None,
             gc_depth: Some(16),
             max_round: Some(10),
@@ -112,8 +103,6 @@ impl TribeSpec {
             crashes: Vec::new(),
             restarts: Vec::new(),
             storage_root: None,
-            fsync: true,
-            checkpoint_interval: 8,
             catchup_rounds: 8,
             epoch_length: None,
             rotation_miss_k: 4,
@@ -123,7 +112,6 @@ impl TribeSpec {
             pre_gst_extra_max: Micros::ZERO,
             verify_sigs: false,
             execute: false,
-            single_region: false,
             telemetry: Telemetry::null(),
             monitor: None,
         }
@@ -145,16 +133,14 @@ pub struct BuiltTribe {
     pub honest: Vec<PartyId>,
 }
 
-/// Elects the paper's evaluation clans (region-balanced) and assembles the
-/// topology for `spec`.
-fn make_topology(spec: &TribeSpec, latency: &LatencyMatrix) -> Arc<ClanTopology> {
+/// Assembles the clan topology `spec` asks for.
+fn make_topology(spec: &TribeSpec) -> Arc<ClanTopology> {
     let tribe = TribeParams::new(spec.n);
     let topo = match &spec.clans {
         None => ClanTopology::whole_tribe(tribe),
         Some(clans) if clans.len() == 1 => ClanTopology::single_clan(tribe, clans[0].clone()),
         Some(clans) => ClanTopology::multi_clan(tribe, clans.clone()),
     };
-    let _ = latency;
     Arc::new(topo)
 }
 
@@ -179,12 +165,7 @@ pub fn partition_clans(n: usize, q: usize, seed: u64) -> Vec<Vec<PartyId>> {
 /// Builds the simulator for `spec`.
 pub fn build_tribe(spec: &TribeSpec) -> BuiltTribe {
     let n = spec.n;
-    let latency = if spec.single_region {
-        LatencyMatrix::single_region(n)
-    } else {
-        LatencyMatrix::evenly_distributed(n)
-    };
-    let topology = make_topology(spec, &latency);
+    let topology = make_topology(spec);
 
     // Bulk fan-out degree: how many peers a node streams blocks to per
     // round. Block proposers stream to their clan; everyone else only moves
@@ -203,7 +184,6 @@ pub fn build_tribe(spec: &TribeSpec) -> BuiltTribe {
         .collect();
 
     let mut sim_cfg = SimConfig::benign(n, spec.seed);
-    sim_cfg.latency = latency;
     sim_cfg.bandwidth = spec.bandwidth;
     sim_cfg.cost = spec.cost;
     sim_cfg.bulk_fanout = bulk_fanout;
@@ -242,7 +222,6 @@ pub fn build_tribe(spec: &TribeSpec) -> BuiltTribe {
             cfg.pull_retry = spec.pull_retry;
             cfg.max_round = spec.max_round;
             cfg.txs_per_proposal = spec.txs_per_proposal;
-            cfg.tx_bytes = spec.tx_bytes;
             cfg.workload = spec.workload;
             cfg.gc_depth = spec.gc_depth;
             // Only parties inside their own dissemination clan can validate
@@ -259,8 +238,6 @@ pub fn build_tribe(spec: &TribeSpec) -> BuiltTribe {
             if let Some(root) = &spec.storage_root {
                 cfg.storage_dir = Some(root.join(format!("node-{i}")));
             }
-            cfg.fsync = spec.fsync;
-            cfg.checkpoint_interval = spec.checkpoint_interval;
             cfg.catchup_rounds = spec.catchup_rounds;
             cfg.epoch_length = spec.epoch_length;
             cfg.rotation_miss_k = spec.rotation_miss_k;

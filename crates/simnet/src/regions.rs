@@ -83,24 +83,6 @@ impl LatencyMatrix {
         }
     }
 
-    /// Places every node in a single region (near-zero latency; useful for
-    /// isolating CPU/bandwidth effects in tests).
-    pub fn single_region(n: usize) -> LatencyMatrix {
-        let region_of = vec![Region::UsEast1; n];
-        LatencyMatrix {
-            region_of,
-            one_way_us: Self::table1_one_way(),
-        }
-    }
-
-    /// Builds with an explicit region per node.
-    pub fn with_regions(region_of: Vec<Region>) -> LatencyMatrix {
-        LatencyMatrix {
-            region_of,
-            one_way_us: Self::table1_one_way(),
-        }
-    }
-
     fn table1_one_way() -> [[u64; 5]; 5] {
         let mut m = [[0u64; 5]; 5];
         for (i, row) in RTT_MS.iter().enumerate() {
@@ -179,15 +161,5 @@ mod tests {
         let m = LatencyMatrix::evenly_distributed(10);
         // eu-north (node 2) → au-southeast (node 4): RTT 295.13 ms.
         assert_eq!(m.one_way(PartyId(2), PartyId(4)), Micros(147_565));
-    }
-
-    #[test]
-    fn single_region_is_flat() {
-        let m = LatencyMatrix::single_region(6);
-        for a in 0..6u32 {
-            for b in 0..6u32 {
-                assert_eq!(m.one_way(PartyId(a), PartyId(b)), Micros(375));
-            }
-        }
     }
 }

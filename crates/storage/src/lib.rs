@@ -64,7 +64,6 @@ impl Recovered {
 pub struct NodeStorage {
     dir: PathBuf,
     wal: Wal,
-    fsync: bool,
     telemetry: Telemetry,
 }
 
@@ -72,14 +71,10 @@ impl NodeStorage {
     /// Opens (creating if needed) the storage directory, reads the
     /// checkpoint, replays the WAL (truncating any torn tail), and returns
     /// the handle plus everything recovered.
-    pub fn open(
-        dir: &Path,
-        fsync: bool,
-        telemetry: Telemetry,
-    ) -> io::Result<(NodeStorage, Recovered)> {
+    pub fn open(dir: &Path, telemetry: Telemetry) -> io::Result<(NodeStorage, Recovered)> {
         fs::create_dir_all(dir)?;
         let checkpoint = read_checkpoint(&dir.join(CHECKPOINT_FILE));
-        let (wal, replay) = Wal::open(&dir.join(WAL_FILE), fsync, telemetry.clone())?;
+        let (wal, replay) = Wal::open(&dir.join(WAL_FILE), telemetry.clone())?;
         let mut records = Vec::with_capacity(replay.records.len());
         for payload in &replay.records {
             // A CRC-valid frame that fails typed decoding marks the end of
@@ -93,7 +88,6 @@ impl NodeStorage {
             NodeStorage {
                 dir: dir.to_path_buf(),
                 wal,
-                fsync,
                 telemetry,
             },
             Recovered {
@@ -126,23 +120,19 @@ impl NodeStorage {
                 .truncate(true)
                 .open(&tmp)?;
             f.write_all(&frame)?;
-            if self.fsync {
-                let start = std::time::Instant::now();
-                f.sync_data()?;
-                self.telemetry.record(
-                    counters::WAL_FSYNC_MICROS,
-                    start.elapsed().as_micros() as u64,
-                );
-            }
+            let start = std::time::Instant::now();
+            f.sync_data()?;
+            self.telemetry.record(
+                counters::WAL_FSYNC_MICROS,
+                start.elapsed().as_micros() as u64,
+            );
         }
         fs::rename(&tmp, &live)?;
-        if self.fsync {
-            // Make the rename itself durable (directory entry update).
-            if let Ok(d) = File::open(&self.dir) {
-                let _ = d.sync_all();
-            }
-            self.telemetry.add(counters::WAL_FSYNCS, 1);
+        // Make the rename itself durable (directory entry update).
+        if let Ok(d) = File::open(&self.dir) {
+            let _ = d.sync_all();
         }
+        self.telemetry.add(counters::WAL_FSYNCS, 1);
         self.wal.reset()?;
         self.telemetry.add(counters::CHECKPOINT_WRITTEN, 1);
         self.telemetry
@@ -191,13 +181,13 @@ mod tests {
     #[test]
     fn open_log_reopen_recovers_records() {
         let dir = scratch_dir("log");
-        let (mut st, rec) = NodeStorage::open(&dir, true, Telemetry::null()).expect("open");
+        let (mut st, rec) = NodeStorage::open(&dir, Telemetry::null()).expect("open");
         assert!(rec.is_empty());
         st.log(&WalRecord::Voted { round: Round(3) }).expect("log");
         st.log(&WalRecord::NoVoted { round: Round(4) })
             .expect("log");
         drop(st);
-        let (_, rec) = NodeStorage::open(&dir, true, Telemetry::null()).expect("reopen");
+        let (_, rec) = NodeStorage::open(&dir, Telemetry::null()).expect("reopen");
         assert!(rec.checkpoint.is_none());
         assert_eq!(rec.records.len(), 2);
         assert!(matches!(rec.records[0], WalRecord::Voted { round } if round == Round(3)));
@@ -208,7 +198,7 @@ mod tests {
     #[test]
     fn checkpoint_rotates_wal() {
         let dir = scratch_dir("cp");
-        let (mut st, _) = NodeStorage::open(&dir, true, Telemetry::null()).expect("open");
+        let (mut st, _) = NodeStorage::open(&dir, Telemetry::null()).expect("open");
         st.log(&WalRecord::Voted { round: Round(1) }).expect("log");
         let cp = Checkpoint {
             current_round: Round(5),
@@ -218,7 +208,7 @@ mod tests {
         st.install_checkpoint(&cp).expect("checkpoint");
         st.log(&WalRecord::Voted { round: Round(6) }).expect("log");
         drop(st);
-        let (_, rec) = NodeStorage::open(&dir, true, Telemetry::null()).expect("reopen");
+        let (_, rec) = NodeStorage::open(&dir, Telemetry::null()).expect("reopen");
         let got = rec.checkpoint.expect("checkpoint present");
         assert_eq!(got.current_round, Round(5));
         assert_eq!(got.commit_seq, 10);
@@ -231,7 +221,7 @@ mod tests {
     #[test]
     fn corrupt_checkpoint_degrades_to_wal_only() {
         let dir = scratch_dir("corrupt");
-        let (mut st, _) = NodeStorage::open(&dir, true, Telemetry::null()).expect("open");
+        let (mut st, _) = NodeStorage::open(&dir, Telemetry::null()).expect("open");
         st.install_checkpoint(&Checkpoint::default())
             .expect("checkpoint");
         st.log(&WalRecord::Voted { round: Round(2) }).expect("log");
@@ -242,7 +232,7 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         fs::write(&path, &bytes).expect("write");
-        let (_, rec) = NodeStorage::open(&dir, true, Telemetry::null()).expect("reopen");
+        let (_, rec) = NodeStorage::open(&dir, Telemetry::null()).expect("reopen");
         assert!(rec.checkpoint.is_none());
         assert_eq!(rec.records.len(), 1);
         fs::remove_dir_all(&dir).ok();

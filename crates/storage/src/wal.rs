@@ -15,9 +15,9 @@
 //! every byte offset to pin that.
 //!
 //! Durability: every append writes the full frame with a single `write`
-//! call and, when fsync is on (the default), follows it with
-//! `File::sync_data`. The WAL is truncated to empty by [`Wal::reset`] after
-//! a checkpoint lands — that is the log-rotation step bounding growth.
+//! call and follows it with `File::sync_data`. The WAL is truncated to
+//! empty by [`Wal::reset`] after a checkpoint lands — that is the
+//! log-rotation step bounding growth.
 
 use crate::crc::crc32;
 use clanbft_telemetry::{counters, Telemetry};
@@ -70,14 +70,13 @@ pub fn replay_bytes(buf: &[u8]) -> (Vec<Vec<u8>>, usize) {
 pub struct Wal {
     path: PathBuf,
     file: File,
-    fsync: bool,
     telemetry: Telemetry,
 }
 
 impl Wal {
     /// Opens (creating if absent) the log at `path`, replays it, truncates
     /// any torn tail, and positions the cursor for appending.
-    pub fn open(path: &Path, fsync: bool, telemetry: Telemetry) -> io::Result<(Wal, Replay)> {
+    pub fn open(path: &Path, telemetry: Telemetry) -> io::Result<(Wal, Replay)> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -97,7 +96,6 @@ impl Wal {
             Wal {
                 path: path.to_path_buf(),
                 file,
-                fsync,
                 telemetry,
             },
             Replay {
@@ -107,9 +105,8 @@ impl Wal {
         ))
     }
 
-    /// Appends one record and (if fsync is on) makes it durable before
-    /// returning — the caller's persist-before-send contract depends on
-    /// this ordering.
+    /// Appends one record and makes it durable (fsync) before returning —
+    /// the caller's persist-before-send contract depends on this ordering.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
         assert!(payload.len() <= MAX_RECORD_BYTES, "oversized WAL record");
         let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
@@ -117,15 +114,7 @@ impl Wal {
         frame.extend_from_slice(&crc32(payload).to_le_bytes());
         frame.extend_from_slice(payload);
         self.file.write_all(&frame)?;
-        if self.fsync {
-            let start = std::time::Instant::now();
-            self.file.sync_data()?;
-            self.telemetry.add(counters::WAL_FSYNCS, 1);
-            self.telemetry.record(
-                counters::WAL_FSYNC_MICROS,
-                start.elapsed().as_micros() as u64,
-            );
-        }
+        self.sync()?;
         self.telemetry.add(counters::WAL_APPENDS, 1);
         self.telemetry.add(counters::WAL_BYTES, frame.len() as u64);
         Ok(())
@@ -136,15 +125,18 @@ impl Wal {
     pub fn reset(&mut self) -> io::Result<()> {
         self.file.set_len(0)?;
         self.file.seek(SeekFrom::Start(0))?;
-        if self.fsync {
-            let start = std::time::Instant::now();
-            self.file.sync_data()?;
-            self.telemetry.add(counters::WAL_FSYNCS, 1);
-            self.telemetry.record(
-                counters::WAL_FSYNC_MICROS,
-                start.elapsed().as_micros() as u64,
-            );
-        }
+        self.sync()
+    }
+
+    /// Flushes the file to disk, counting and timing the fsync.
+    fn sync(&mut self) -> io::Result<()> {
+        let start = std::time::Instant::now();
+        self.file.sync_data()?;
+        self.telemetry.add(counters::WAL_FSYNCS, 1);
+        self.telemetry.record(
+            counters::WAL_FSYNC_MICROS,
+            start.elapsed().as_micros() as u64,
+        );
         Ok(())
     }
 
@@ -174,14 +166,14 @@ mod tests {
     #[test]
     fn append_then_replay_roundtrips() {
         let path = scratch("roundtrip");
-        let (mut wal, replay) = Wal::open(&path, true, Telemetry::null()).expect("open");
+        let (mut wal, replay) = Wal::open(&path, Telemetry::null()).expect("open");
         assert!(replay.records.is_empty());
         let recs: Vec<Vec<u8>> = (0u8..10).map(|i| vec![i; (i as usize) * 7 + 1]).collect();
         for r in &recs {
             wal.append(r).expect("append");
         }
         drop(wal);
-        let (_, replay) = Wal::open(&path, true, Telemetry::null()).expect("reopen");
+        let (_, replay) = Wal::open(&path, Telemetry::null()).expect("reopen");
         assert_eq!(replay.records, recs);
         assert_eq!(replay.truncated_bytes, 0);
         std::fs::remove_file(&path).ok();
@@ -190,14 +182,14 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated() {
         let path = scratch("torn");
-        let (mut wal, _) = Wal::open(&path, true, Telemetry::null()).expect("open");
+        let (mut wal, _) = Wal::open(&path, Telemetry::null()).expect("open");
         wal.append(b"first").expect("append");
         wal.append(b"second").expect("append");
         drop(wal);
         // Tear the last frame: drop its final byte.
         let bytes = std::fs::read(&path).expect("read");
         std::fs::write(&path, &bytes[..bytes.len() - 1]).expect("write");
-        let (wal, replay) = Wal::open(&path, true, Telemetry::null()).expect("reopen");
+        let (wal, replay) = Wal::open(&path, Telemetry::null()).expect("reopen");
         assert_eq!(replay.records, vec![b"first".to_vec()]);
         assert!(replay.truncated_bytes > 0);
         // The file itself was truncated back to the valid prefix.
@@ -209,12 +201,12 @@ mod tests {
     #[test]
     fn reset_empties_the_log() {
         let path = scratch("reset");
-        let (mut wal, _) = Wal::open(&path, true, Telemetry::null()).expect("open");
+        let (mut wal, _) = Wal::open(&path, Telemetry::null()).expect("open");
         wal.append(b"doomed").expect("append");
         wal.reset().expect("reset");
         wal.append(b"kept").expect("append");
         drop(wal);
-        let (_, replay) = Wal::open(&path, true, Telemetry::null()).expect("reopen");
+        let (_, replay) = Wal::open(&path, Telemetry::null()).expect("reopen");
         assert_eq!(replay.records, vec![b"kept".to_vec()]);
         std::fs::remove_file(&path).ok();
     }
@@ -227,7 +219,7 @@ mod tests {
         frame.extend_from_slice(&0u32.to_le_bytes());
         frame.extend_from_slice(&[0u8; 64]);
         std::fs::write(&path, &frame).expect("write");
-        let (_, replay) = Wal::open(&path, true, Telemetry::null()).expect("open");
+        let (_, replay) = Wal::open(&path, Telemetry::null()).expect("open");
         assert!(replay.records.is_empty());
         assert_eq!(replay.truncated_bytes, frame.len() as u64);
         std::fs::remove_file(&path).ok();

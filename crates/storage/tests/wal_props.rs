@@ -145,7 +145,7 @@ fn file_reopen_after_truncation_matches_in_memory_replay() {
             let path = scratch(&format!("reopen-{salt}"));
             {
                 let (mut wal, _) =
-                    Wal::open(&path, false, Telemetry::null()).map_err(|e| e.to_string())?;
+                    Wal::open(&path, Telemetry::null()).map_err(|e| e.to_string())?;
                 for rec in records {
                     wal.append(rec).map_err(|e| e.to_string())?;
                 }
@@ -168,7 +168,7 @@ fn file_reopen_after_truncation_matches_in_memory_replay() {
             for cut in cuts {
                 std::fs::write(&path, &log[..cut]).map_err(|e| e.to_string())?;
                 let (wal, replay) =
-                    Wal::open(&path, false, Telemetry::null()).map_err(|e| e.to_string())?;
+                    Wal::open(&path, Telemetry::null()).map_err(|e| e.to_string())?;
                 let want = intact_prefix(&ends, cut);
                 if replay.records.len() != want {
                     return Err(format!(

@@ -20,6 +20,23 @@ echo "== benchmark crate (builds against the workspace crates it measures)"
 # building; its own suite pins the metric extraction.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
+echo "== benchmark n=50 correctness gate (one repetition of each workload)"
+# The crate's own tests run n=4-7 tribes; this runs every BENCHMARK.json
+# workload once at its real size. A run exits non-zero unless the honest
+# orders are prefixes of each other, the open-loop exactly-once audit holds
+# and the crash workload's restarted party rebuilt from disk; its summary
+# line must then also report "correct":true.
+BENCH=(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml --)
+cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+for w in sailfish-n50-ctrl clan-n50-openloop mclan-n50-durable-crash; do
+    SUMMARY=$("${BENCH[@]}" --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -1)
+    if ! grep -q '"correct":true' <<< "$SUMMARY"; then
+        echo "benchmark workload $w is not correct: $SUMMARY" >&2
+        exit 1
+    fi
+    echo "$w: correct"
+done
+
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

@@ -2,6 +2,7 @@
 //! asynchrony, and link partitions — the paper's partial-synchrony model
 //! exercised end to end.
 
+use clanbft_adversary::Attack;
 use clanbft_monitor::{AlertKind, Detector, HealthMonitor, Verdict};
 use clanbft_sim::{build_tribe, TribeSpec};
 use clanbft_simnet::net::Partition;
@@ -302,6 +303,56 @@ fn assert_fired_and_cleared(
         Verdict::Healthy,
         "{label}: cluster not healthy after recovery: {snap:?}"
     );
+}
+
+#[test]
+fn rbc_evidence_survives_restart() {
+    // Party 1 equivocates, so honest party 2's broadcast engine records
+    // RBC-level evidence against it. Party 2 then crashes and rebuilds from
+    // its WAL: everything it had recorded before the crash must come back,
+    // not only what it re-observes after rejoining.
+    let dir = scratch("evidence");
+    let (telemetry, recorder) = Telemetry::mem();
+    let crash_at = Micros::from_millis(1_500);
+    let mut spec = TribeSpec::new(7);
+    spec.storage_root = Some(dir.clone());
+    spec.telemetry = telemetry;
+    spec.byzantine = vec![(PartyId(1), Attack::Equivocate)];
+    spec.txs_per_proposal = 30;
+    spec.max_round = Some(12);
+    spec.timeout = Micros::from_millis(1_200);
+    spec.crashes = vec![(PartyId(2), crash_at)];
+    spec.restarts = vec![(PartyId(2), Micros::from_millis(2_500))];
+    let mut built = build_tribe(&spec);
+    built.sim.run_until(Micros::from_secs(300));
+    assert_eq!(recorder.dropped_events(), 0, "event log must be complete");
+    let seen: Vec<(Round, PartyId)> = recorder
+        .events()
+        .into_iter()
+        .filter(|s| s.party == PartyId(2) && s.at < crash_at)
+        .filter_map(|s| match s.event {
+            Event::EvidenceRecorded { round, culprit, .. } => Some((round, culprit)),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        !seen.is_empty(),
+        "party 2 recorded no evidence before its crash"
+    );
+    let node2 = built.sim.node(PartyId(2));
+    assert!(node2.recovered(), "restart must rebuild from disk");
+    let kept: std::collections::HashSet<(Round, PartyId)> = node2
+        .evidence()
+        .iter()
+        .map(|ev| (ev.round(), ev.culprit()))
+        .collect();
+    for (round, culprit) in seen {
+        assert!(
+            kept.contains(&(round, culprit)),
+            "evidence against {culprit} at {round} lost across the restart; kept {kept:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
